@@ -7,6 +7,7 @@
 
 #include "accel/bim.h"
 #include "core/int_kernels.h"
+#include "fq_oracle.h"
 #include "quant/int_layernorm.h"
 #include "quant/int_softmax.h"
 #include "tensor/tensor_ops.h"
@@ -29,7 +30,8 @@ void BM_FloatMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_FloatMatmul)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_Int8Matmul(benchmark::State& state) {
+// The scalar reference kernel (tests/fq_oracle.h).
+void BM_Int8MatmulScalar(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(2);
   std::vector<int8_t> a(static_cast<size_t>(n * n)), w(a.size());
@@ -37,10 +39,33 @@ void BM_Int8Matmul(benchmark::State& state) {
   for (auto& v : w) v = static_cast<int8_t>(rng.randint(-8, 7));
   std::vector<int32_t> acc;
   for (auto _ : state) {
-    core::int_matmul_wt(a, w, acc, n, n, n);
+    core::oracle::int_matmul_wt(a, w, acc, n, n, n);
     benchmark::DoNotOptimize(acc.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
+}
+BENCHMARK(BM_Int8MatmulScalar)->Arg(64)->Arg(128)->Arg(256);
+
+// The engine's tile GEMM on this host's kernel target, weights packed
+// once outside the loop as QuantLinear does.
+void BM_Int8Matmul(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(2);
+  std::vector<int8_t> a(static_cast<size_t>(n * n)), w(a.size());
+  for (auto& v : a) v = static_cast<int8_t>(rng.randint(-128, 127));
+  for (auto& v : w) v = static_cast<int8_t>(rng.randint(-8, 7));
+  std::vector<int8_t> tiles(core::tile_bytes(n, n));
+  std::vector<int32_t> corr(static_cast<size_t>(core::padded_cols(n)));
+  core::pack_tiles(w.data(), n, 1, n, n, tiles.data(), corr.data());
+  std::vector<int32_t> acc(static_cast<size_t>(n * n));
+  for (auto _ : state) {
+    core::gemm_tiles(a.data(), n, n, n, tiles.data(), corr.data(), n,
+                     acc.data(), n);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetLabel(core::kernel_name());
 }
 BENCHMARK(BM_Int8Matmul)->Arg(64)->Arg(128)->Arg(256);
 

@@ -9,8 +9,8 @@
 //   3. the InferenceServer under a closed-loop client, sweeping
 //      worker count x max batch over a seq-length mix.
 //
-// Since PR 2, forward() runs the very same panel kernel as
-// forward_batch, so on one core the engine-level batching gain shrinks
+// forward() runs the very same tile GEMM as forward_batch, so on one
+// core the engine-level batching gain shrinks
 // to amortized per-call overhead (~1.0-1.1x); batching's remaining
 // value is scheduling (latency shaping under load) and multi-worker
 // scaling on multi-core hosts. bench_single_latency measures the

@@ -1,20 +1,18 @@
-// Single-request latency: the unified panel-kernel forward() vs the
-// seed's scalar reference path.
+// Single-request latency: the engine's forward() (tile GEMM on this
+// CPU's kernel target) vs the seed's scalar reference path.
 //
-// PR 2 collapsed the single-request path onto the 4-row panel int8
-// kernel that previously only the batched serving path used. The
-// baseline is the seed scalar path preserved in tests/fq_oracle.h
-// (per-call allocations, int_matmul_wt, weight codes resident in int8
-// exactly as the seed kept them — narrowed once at setup, never inside
-// the timed loop). Per sequence length this measures:
+// The baseline is the seed scalar path preserved in tests/fq_oracle.h
+// (per-call allocations, scalar int_matmul_wt, weight codes resident in
+// int8 exactly as the seed kept them — unpacked once at setup, never
+// inside the timed loop). Per sequence length this measures:
 //
-//   1. encoder-only latency (the integer stack the panel kernel
-//      accelerates — the acceptance metric is >= 2x here);
+//   1. encoder-only latency (the integer stack the kernels accelerate);
 //   2. end-to-end forward() latency (embed + encoder + float head),
 //      which dilutes the win with the CPU-side float stages.
 //
-// Outputs also include a bit-identity check over the measured inputs —
-// speed claims are meaningless if the fast path drifted.
+// It is a gate: the exit code is nonzero when any measured output is
+// not bit-identical to the oracle, or when the encoder-only geomean
+// speedup is below 2x.
 //
 //   ./build/bench/bench_single_latency [--fast]
 #include <chrono>
@@ -37,7 +35,7 @@ double now_s() {
       .count();
 }
 
-void panel_encoder(const core::FqBertModel& engine,
+void engine_encoder(const core::FqBertModel& engine,
                    const std::vector<int8_t>& x, std::vector<int8_t>& out,
                    int64_t s_len) {
   std::vector<int8_t> a = x, b;
@@ -70,20 +68,23 @@ int main(int argc, char** argv) {
 
   print_rule();
   std::printf("encoder-only single-request latency (%d iters/point)\n", iters);
+  std::printf("kernel target: %s\n", core::kernel_name());
   std::printf("%-8s %14s %14s %9s   %s\n", "seq_len", "scalar us/req",
-              "panel us/req", "speedup", "bit-identical");
+              "engine us/req", "speedup", "bit-identical");
   double worst = 1e9, geo = 0.0;
   int points = 0;
+  bool all_identical = true;
   for (const int64_t s_len : {1, 2, 3, 4, 6, 8, 12, 16, 24, 32}) {
     const nn::Example ex = serve::synth_example(
         rng, std::max<int64_t>(2, s_len), mcfg);
     const int64_t rows = static_cast<int64_t>(ex.tokens.size());
     const std::vector<int8_t> x = engine->embed(ex);
-    std::vector<int8_t> y_scalar, y_panel;
+    std::vector<int8_t> y_scalar, y_engine;
 
     core::oracle::oracle_encoder(om, x, y_scalar, rows);  // warm
-    panel_encoder(*engine, x, y_panel, rows);             // warm
-    const bool identical = y_scalar == y_panel;
+    engine_encoder(*engine, x, y_engine, rows);           // warm
+    const bool identical = y_scalar == y_engine;
+    all_identical = all_identical && identical;
 
     // Best-of-3 trials per path: the container shares its single core,
     // so min is the honest steady-state number.
@@ -98,19 +99,22 @@ int main(int argc, char** argv) {
     };
     const double scalar_us = time_us(
         [&] { core::oracle::oracle_encoder(om, x, y_scalar, rows); });
-    const double panel_us =
-        time_us([&] { panel_encoder(*engine, x, y_panel, rows); });
+    const double engine_us =
+        time_us([&] { engine_encoder(*engine, x, y_engine, rows); });
+    all_identical = all_identical && y_scalar == y_engine;
 
-    const double speedup = scalar_us / panel_us;
+    const double speedup = scalar_us / engine_us;
     worst = std::min(worst, speedup);
     geo += std::log(speedup);
     ++points;
     std::printf("%-8lld %14.1f %14.1f %8.2fx   %s\n",
-                static_cast<long long>(rows), scalar_us, panel_us, speedup,
+                static_cast<long long>(rows), scalar_us, engine_us, speedup,
                 identical ? "yes" : "NO — BUG");
   }
-  std::printf("geomean %.2fx, worst %.2fx  (acceptance: >= 2x)\n",
-              std::exp(geo / points), worst);
+  const double geomean = std::exp(geo / points);
+  const bool fast_enough = geomean >= 2.0;
+  std::printf("geomean %.2fx, worst %.2fx  (gate: geomean >= 2x) %s\n",
+              geomean, worst, fast_enough ? "OK" : "FAILED");
 
   print_rule();
   std::printf("end-to-end forward() latency, seq mix 12/16/24 "
@@ -120,16 +124,23 @@ int main(int argc, char** argv) {
     mix.push_back(serve::synth_example(
         rng, std::vector<int64_t>{12, 16, 24}[static_cast<size_t>(i % 3)],
         mcfg));
-  for (const nn::Example& ex : mix) (void)engine->forward(ex);  // warm
+  for (const nn::Example& ex : mix) {  // warm + bit-identity
+    const Tensor want = core::oracle::oracle_forward(om, ex);
+    const Tensor got = engine->forward(ex);
+    for (int64_t j = 0; j < want.numel(); ++j)
+      all_identical = all_identical && want[j] == got[j];
+  }
   double t0 = now_s();
   for (const nn::Example& ex : mix)
     (void)core::oracle::oracle_forward(om, ex);
   const double scalar_us = (now_s() - t0) * 1e6 / mix.size();
   t0 = now_s();
   for (const nn::Example& ex : mix) (void)engine->forward(ex);
-  const double panel_us = (now_s() - t0) * 1e6 / mix.size();
+  const double engine_us = (now_s() - t0) * 1e6 / mix.size();
   std::printf("  scalar reference : %9.1f us/req\n", scalar_us);
-  std::printf("  unified forward(): %9.1f us/req  (%.2fx)\n", panel_us,
-              scalar_us / panel_us);
-  return 0;
+  std::printf("  engine forward() : %9.1f us/req  (%.2fx)\n", engine_us,
+              scalar_us / engine_us);
+  std::printf("bit-identical to the scalar oracle: %s\n",
+              all_identical ? "yes" : "NO");
+  return all_identical && fast_enough ? 0 : 1;
 }

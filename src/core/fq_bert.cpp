@@ -91,48 +91,36 @@ void QuantLinear::forward_i8(const std::vector<int8_t>& x,
   // Grow-only thread-local scratch keeps the const API reentrant and
   // the standalone call allocation-free in steady state.
   static thread_local std::vector<int32_t> acc;
-  static thread_local std::vector<int16_t> panel;
-  forward_i8(x, y, rows, acc, panel);
+  forward_i8(x, y, rows, acc);
 }
 
 void QuantLinear::forward_i8(const std::vector<int8_t>& x,
                              std::vector<int8_t>& y, int64_t rows,
-                             std::vector<int32_t>& acc,
-                             std::vector<int16_t>& panel) const {
-  // Width dispatch to the templated panel kernel: both instantiations
-  // widen every weight to int32 in the multiply, so the narrow (int8)
-  // and wide (int16) resident layouts are bit-identical.
-  if (narrow_storage())
-    int_matmul_wt_panel(x, narrow_data(), acc, rows, in, out, panel);
-  else
-    int_matmul_wt_panel(x, wide_data(), acc, rows, in, out, panel);
+                             std::vector<int32_t>& acc) const {
+  acc.resize(static_cast<size_t>(rows * out));
+  gemm_tiles(x.data(), in, rows, in, tiles(), w_corr.data(), out, acc.data(),
+             out);
   requantize_i8(acc, bias_q, rq, y, rows, out);
 }
 
 void QuantLinear::set_codes(const std::vector<int8_t>& codes) {
-  w_map8 = nullptr;
-  w_map16 = nullptr;
-  if (narrow_storage()) {
-    w_own8 = codes;
-    w_own16.clear();
-    w_own16.shrink_to_fit();
-  } else {
-    w_own16.assign(codes.begin(), codes.end());
-    w_own8.clear();
-    w_own8.shrink_to_fit();
-  }
+  w_map = nullptr;
+  w_own.resize(tile_bytes(out, in));
+  w_corr.resize(static_cast<size_t>(padded_cols(out)));
+  pack_tiles(codes.data(), in, 1, out, in, w_own.data(), w_corr.data());
+}
+
+void QuantLinear::map_tiles(const int8_t* view) {
+  w_map = view;
+  w_own.clear();
+  w_own.shrink_to_fit();
+  w_corr.resize(static_cast<size_t>(padded_cols(out)));
+  tile_corrections(view, out, in, w_corr.data());
 }
 
 std::vector<int8_t> QuantLinear::narrow_codes() const {
-  const auto n = static_cast<size_t>(in * out);
-  std::vector<int8_t> codes(n);
-  if (narrow_storage()) {
-    const int8_t* src = narrow_data();
-    std::copy(src, src + n, codes.begin());
-  } else {
-    const int16_t* src = wide_data();
-    for (size_t i = 0; i < n; ++i) codes[i] = static_cast<int8_t>(src[i]);
-  }
+  std::vector<int8_t> codes(static_cast<size_t>(in * out));
+  unpack_tiles(tiles(), out, in, codes.data());
   return codes;
 }
 
@@ -151,10 +139,10 @@ std::vector<uint8_t> QuantLinear::packed_weights() const {
 void FqEncoderLayer::forward(const std::vector<int8_t>& x,
                              std::vector<int8_t>& y, int64_t s_len) const {
   // One integer compute path: the single-request forward is a batch of
-  // one sequence over the panel kernel. The thread-local scratch keeps
-  // the const API reentrant and the call allocation-free in steady
-  // state; it is distinct from the model-level forward_batch scratch,
-  // so callers handing in their own buffers never alias it.
+  // one sequence. The thread-local scratch keeps the const API
+  // reentrant and the call allocation-free in steady state; it is
+  // distinct from the model-level forward_batch scratch, so callers
+  // handing in their own buffers never alias it.
   static thread_local FqBatchScratch scratch;
   static thread_local std::vector<int64_t> one_seq(1);
   one_seq[0] = s_len;
@@ -171,54 +159,49 @@ void FqEncoderLayer::forward_batch(const std::vector<int8_t>& x,
   // Projections batched over every row of every sequence: one matmul
   // per weight matrix instead of one per sequence.
   std::vector<int8_t>&q = s.q, &k = s.k, &v = s.v;
-  wq.forward_i8(x, q, total, s.acc, s.panel);
-  wk.forward_i8(x, k, total, s.acc, s.panel);
-  wv.forward_i8(x, v, total, s.acc, s.panel);
+  wq.forward_i8(x, q, total, s.acc);
+  wk.forward_i8(x, k, total, s.acc);
+  wv.forward_i8(x, v, total, s.acc);
 
-  // Attention is the only token-mixing stage, so it runs per sequence;
-  // everything else below stays row-local and batches freely.
-  std::vector<int8_t>& ctx = s.ctx;
-  ctx.resize(static_cast<size_t>(total * hidden));
-  std::vector<int8_t>&qh = s.qh, &kh = s.kh, &vh = s.vh;
+  // Attention is the only token-mixing stage, so it runs per sequence
+  // and head; everything else below stays row-local and batches freely.
+  // Heads are read in place (row stride `hidden`): K packs as the QKᵀ
+  // right operand, Vᵀ as the PV one, and every head's context lands in
+  // its columns of ctx_acc for one requantization at the end.
   std::vector<int32_t>&scores = s.scores, &probs = s.probs,
                       &ctx_acc = s.ctx_acc;
-
+  ctx_acc.resize(static_cast<size_t>(total * hidden));
   int64_t off = 0;
   for (const int64_t s_len : seq_lens) {
-    qh.resize(static_cast<size_t>(s_len * head_dim));
-    kh.resize(static_cast<size_t>(s_len * head_dim));
-    vh.resize(static_cast<size_t>(s_len * head_dim));
+    const auto sq = static_cast<size_t>(s_len * s_len);
+    scores.resize(sq);
+    s.probs8.resize(sq);
+    s.head_tiles.resize(
+        std::max(tile_bytes(s_len, head_dim), tile_bytes(head_dim, s_len)));
+    s.head_corr.resize(static_cast<size_t>(padded_cols(s_len)));
     for (int64_t h = 0; h < num_heads; ++h) {
-      for (int64_t r = 0; r < s_len; ++r) {
-        const int64_t row = off + r;
-        const int8_t* qrow = q.data() + row * hidden + h * head_dim;
-        const int8_t* krow = k.data() + row * hidden + h * head_dim;
-        const int8_t* vrow = v.data() + row * hidden + h * head_dim;
-        std::copy(qrow, qrow + head_dim, qh.data() + r * head_dim);
-        std::copy(krow, krow + head_dim, kh.data() + r * head_dim);
-        std::copy(vrow, vrow + head_dim, vh.data() + r * head_dim);
-      }
-      // QK^T through the panel kernel too: K is tiny per head, so
-      // widening it once is far cheaper than the scalar kernel's
-      // per-element extensions (bit-identical either way).
-      s.kh16.assign(kh.begin(), kh.end());
-      int_matmul_wt_panel(qh, s.kh16, scores, s_len, head_dim, s_len,
-                          s.panel);
+      const int64_t at = off * hidden + h * head_dim;
+      pack_tiles(k.data() + at, hidden, 1, s_len, head_dim,
+                 s.head_tiles.data(), s.head_corr.data());
+      gemm_tiles(q.data() + at, hidden, s_len, head_dim, s.head_tiles.data(),
+                 s.head_corr.data(), s_len, scores.data(), s_len);
       apply_softmax(scores, probs, s_len);
-      int_matmul_pv(probs, vh, ctx_acc, s_len, s_len, head_dim);
-      for (int64_t r = 0; r < s_len; ++r) {
-        int8_t* crow = ctx.data() + (off + r) * hidden + h * head_dim;
-        const int32_t* arow = ctx_acc.data() + r * head_dim;
-        for (int64_t c = 0; c < head_dim; ++c)
-          crow[c] = static_cast<int8_t>(
-              quant::saturate_signed(ctx_rq.apply(arow[c]), 8));
-      }
+      // Probabilities are u8 codes: pass p - 128 with no correction.
+      const int32_t* p = probs.data();
+      int8_t* p8 = s.probs8.data();
+      for (size_t i = 0; i < sq; ++i) p8[i] = static_cast<int8_t>(p[i] - 128);
+      pack_tiles(v.data() + at, 1, hidden, head_dim, s_len,
+                 s.head_tiles.data(), nullptr);
+      gemm_tiles(s.probs8.data(), s_len, s_len, s_len, s.head_tiles.data(),
+                 nullptr, head_dim, ctx_acc.data() + at, hidden);
     }
     off += s_len;
   }
+  std::vector<int8_t>& ctx = s.ctx;
+  requantize_i8(ctx_acc, {}, ctx_rq, ctx, total, hidden);
 
   std::vector<int8_t>& attn_out = s.attn_out;
-  wo.forward_i8(ctx, attn_out, total, s.acc, s.panel);
+  wo.forward_i8(ctx, attn_out, total, s.acc);
 
   std::vector<int32_t>& res = s.res;
   res.resize(static_cast<size_t>(total * hidden));
@@ -231,10 +214,10 @@ void FqEncoderLayer::forward_batch(const std::vector<int8_t>& x,
   apply_layernorm(res, ffn_x, total, /*first=*/true);
 
   std::vector<int8_t>&pre = s.pre, &mid = s.mid, &fo = s.fo;
-  ffn1.forward_i8(ffn_x, pre, total, s.acc, s.panel);
+  ffn1.forward_i8(ffn_x, pre, total, s.acc);
   mid.resize(pre.size());
   for (size_t i = 0; i < pre.size(); ++i) mid[i] = gelu->apply(pre[i]);
-  ffn2.forward_i8(mid, fo, total, s.acc, s.panel);
+  ffn2.forward_i8(mid, fo, total, s.acc);
 
   for (int64_t i = 0; i < total * hidden; ++i)
     res[static_cast<size_t>(i)] =
@@ -469,8 +452,8 @@ Tensor FqBertModel::head_row(const int8_t* cls_codes) const {
 }
 
 Tensor FqBertModel::forward(const nn::Example& ex) const {
-  // Batch of one through the unified panel-kernel path: same integer
-  // arithmetic, same scratch reuse, bit-identical logits.
+  // Batch of one through the batched path: same integer arithmetic,
+  // same scratch reuse, bit-identical logits.
   std::vector<Tensor> logits = forward_batch({&ex});
   return std::move(logits[0]);
 }
@@ -585,16 +568,35 @@ QuantLinear derive_quant_linear(const QuantLinear& src, int new_bits,
   q.w_scale = s_new;
   const double factor = s_new / src.w_scale;
 
-  const std::vector<int8_t> old_codes = src.narrow_codes();
-  std::vector<int8_t> codes(old_codes.size());
+  // Codes map code-to-code, so one 256-entry table replaces the
+  // per-element rounding; padding (code 0) stays 0. One pass over the
+  // parent's tiles in storage order ([column tile][group][lane][step])
+  // writes the new tiles and their column sums.
   const int64_t qmax = quant::qmax_signed(new_bits);
-  for (size_t i = 0; i < old_codes.size(); ++i) {
+  int8_t remap[256];
+  for (int code = -128; code <= 127; ++code) {
     const auto scaled = static_cast<int64_t>(
-        std::nearbyint(static_cast<double>(old_codes[i]) * factor));
-    codes[i] = static_cast<int8_t>(
-        std::max(-qmax, std::min(qmax, scaled)));
+        std::nearbyint(static_cast<double>(code) * factor));
+    remap[code + 128] =
+        static_cast<int8_t>(std::max(-qmax, std::min(qmax, scaled)));
   }
-  q.set_codes(codes);
+  const int64_t ncols = padded_cols(q.out);
+  const int64_t depth = padded_depth(q.in);
+  q.w_own.resize(src.weight_bytes());
+  q.w_corr.resize(static_cast<size_t>(ncols));
+  const int8_t* from = src.tiles();
+  int8_t* to = q.w_own.data();
+  int32_t* corr = q.w_corr.data();
+  for (int64_t j0 = 0; j0 < ncols; j0 += kTileCols) {
+    int32_t sums[kTileCols] = {};
+    for (int64_t p0 = 0; p0 < depth; p0 += kTileDepth)
+      for (int64_t c = 0; c < kTileCols; ++c)
+        for (int64_t step = 0; step < kTileDepth; ++step, ++from, ++to) {
+          *to = remap[*from + 128];
+          sums[c] += *to;
+        }
+    for (int64_t c = 0; c < kTileCols; ++c) corr[j0 + c] = 128 * sums[c];
+  }
 
   q.bias_q.resize(src.bias_q.size());
   for (size_t i = 0; i < src.bias_q.size(); ++i)

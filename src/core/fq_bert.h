@@ -40,71 +40,61 @@ namespace fqbert::core {
 struct FqBatchScratch {
   std::vector<int8_t> act_a, act_b;  // ping-pong activations [rows, hidden]
   std::vector<int8_t> q, k, v, ctx, attn_out, ffn_x, pre, mid, fo;
-  std::vector<int8_t> qh, kh, vh;
-  std::vector<int16_t> panel;  // widened 4-row activation panel
-  std::vector<int16_t> kh16;   // widened K head (QK^T panel operand)
-  std::vector<int32_t> acc, res, scores, probs, ctx_acc;
+  std::vector<int8_t> head_tiles;  // one head's packed K or Vᵀ
+  std::vector<int8_t> probs8;      // one head's probabilities - 128
+  std::vector<int32_t> acc, res, scores, probs, ctx_acc, head_corr;
 };
 
-/// A quantized linear layer: int8 activations x int4/int8 weights ->
+/// A quantized linear layer: int8 activations x int2..int8 weights ->
 /// int32 accumulators -> requantized int8 outputs.
 ///
-/// Weights are resident in the NARROWEST width the panel kernel can
-/// consume for the layer's bit-width: int8 codes when weight_bits <= 4
-/// (half the memory of the old always-int16 layout — the property that
-/// lets an int4 tier serve next to an int8 tier at ~half the resident
-/// weight bytes), int16 codes otherwise. Widening is value-preserving,
-/// so both storage widths produce bit-identical accumulators.
+/// Every bit-width stores its codes the same way: int8 tiles in the
+/// gemm_tiles layout (int_kernels.h), tile_bytes(out, in) bytes, plus
+/// the per-column correction 128·Σw computed when the codes are
+/// installed. An int8 tier therefore costs the same resident bytes as
+/// an int4 tier.
 ///
-/// Storage is either OWNED (w_own8/w_own16, filled by conversion,
-/// stream load, or tier derivation) or a MAPPED VIEW (w_map8/w_map16,
-/// pointing into a read-only mmap of an FQBERT02 engine file; the
-/// mapping is kept alive by the owning FqBertModel). Accessors pick
-/// whichever is active; a mapped view takes precedence.
+/// The tiles are either OWNED (w_own, filled by conversion, stream
+/// load, or tier derivation) or a MAPPED VIEW (w_map, pointing into a
+/// read-only mmap of an FQBERT03 engine file; the mapping is kept alive
+/// by the owning FqBertModel). A mapped view takes precedence.
 struct QuantLinear {
   int64_t in = 0, out = 0;
   int weight_bits = 4;
-  std::vector<int8_t> w_own8;    // [out, in] row-major (weight_bits <= 4)
-  std::vector<int16_t> w_own16;  // [out, in] row-major (weight_bits > 4)
-  const int8_t* w_map8 = nullptr;    // view into a mapped engine file
-  const int16_t* w_map16 = nullptr;  // (both null unless mmap-loaded)
-  std::vector<int32_t> bias_q;   // round(bias * s_in * s_w), Eq. 4
+  std::vector<int8_t> w_own;      // owned tiles
+  const int8_t* w_map = nullptr;  // view into a mapped engine file
+  std::vector<int32_t> w_corr;    // 128·Σw per padded output column
+  std::vector<int32_t> bias_q;    // round(bias * s_in * s_w), Eq. 4
   double w_scale = 1.0;
   double in_scale = 1.0;
   double out_scale = 1.0;
   quant::Requantizer rq;  // s_out / (s_in * s_w), Eq. 5
 
-  /// True when the resident width for this bit-width is int8.
-  bool narrow_storage() const { return weight_bits <= 4; }
-  const int8_t* narrow_data() const {
-    return w_map8 != nullptr ? w_map8 : w_own8.data();
+  const int8_t* tiles() const {
+    return w_map != nullptr ? w_map : w_own.data();
   }
-  const int16_t* wide_data() const {
-    return w_map16 != nullptr ? w_map16 : w_own16.data();
-  }
-  /// Resident bytes of the weight codes (owned or mapped).
-  size_t weight_bytes() const {
-    const auto n = static_cast<size_t>(in * out);
-    return narrow_storage() ? n : n * sizeof(int16_t);
-  }
+  /// Resident bytes of the weight tiles (owned or mapped).
+  size_t weight_bytes() const { return tile_bytes(out, in); }
 
   /// x: int8 codes [rows, in] on in_scale -> y: int8 codes [rows, out]
-  /// through the panel kernel. Reentrant-const (thread-local scratch).
+  /// through the tile GEMM. Reentrant-const (thread-local scratch).
   void forward_i8(const std::vector<int8_t>& x, std::vector<int8_t>& y,
                   int64_t rows) const;
 
-  /// Same, with caller-provided scratch (the batched serving hot loop
-  /// reuses one accumulator / panel pair across all layers).
+  /// Same, with a caller-provided accumulator (the batched serving hot
+  /// loop reuses one across all layers).
   void forward_i8(const std::vector<int8_t>& x, std::vector<int8_t>& y,
-                  int64_t rows, std::vector<int32_t>& acc,
-                  std::vector<int16_t>& panel) const;
+                  int64_t rows, std::vector<int32_t>& acc) const;
 
-  /// Install the trained/loaded int8 weight codes into the resident
-  /// width selected by weight_bits (drops any mapped view).
+  /// Pack row-major [out, in] int8 codes into owned tiles (drops any
+  /// mapped view) and compute the correction.
   void set_codes(const std::vector<int8_t>& codes);
 
-  /// The int8 weight codes, narrowed/copied from the resident store
-  /// (exact: every code fits int8 for any supported bit-width).
+  /// Point at packed tiles inside a mapped file and compute the
+  /// correction from them.
+  void map_tiles(const int8_t* tiles);
+
+  /// The row-major [out, in] int8 weight codes, unpacked from the tiles.
   std::vector<int8_t> narrow_codes() const;
 
   /// Packed (2-per-byte) weight bytes for size accounting / streaming.
@@ -144,7 +134,7 @@ struct FqEncoderLayer {
   /// x: int8 [S, hidden] on in_scale -> int8 [S, hidden] on out_scale.
   /// Delegates to forward_batch with a single sequence and a
   /// thread-local scratch, so single-request and batched inference run
-  /// the identical panel-kernel compute path. Reentrant-const.
+  /// the identical tile-GEMM compute path. Reentrant-const.
   void forward(const std::vector<int8_t>& x, std::vector<int8_t>& y,
                int64_t s_len) const;
 
@@ -182,7 +172,7 @@ class FqBertModel {
   static FqBertModel convert(QatBert& qat);
 
   /// Float logits for one example (head computed CPU-side). Runs as a
-  /// batch of one through the unified panel-kernel path; reentrant-const.
+  /// batch of one through the batched path; reentrant-const.
   Tensor forward(const nn::Example& ex) const;
 
   /// Batched logits: the examples are packed into one ragged int8 batch
@@ -227,11 +217,11 @@ class FqBertModel {
   bool save(const std::string& path) const;
   static FqBertModel load(const std::string& path);
 
-  /// Serialize in the mmap-ready FQBERT02 layout: weight arrays stored
-  /// in their kernel-resident width, 64-byte aligned, so load_mapped
+  /// Serialize in the mmap-ready FQBERT03 layout: weight tiles stored
+  /// exactly as the GEMM reads them, 64-byte aligned, so load_mapped
   /// can point the engine straight at the file pages.
   bool save_mapped(const std::string& path) const;
-  /// Zero-copy load of an FQBERT02 file: weights stay in the page
+  /// Zero-copy load of an FQBERT03 file: weights stay in the page
   /// cache (PROT_READ, MAP_SHARED mapping held for the model's
   /// lifetime — N processes loading one file share one physical copy);
   /// only the small sections (scales, embeddings, LN parameters,
@@ -239,7 +229,8 @@ class FqBertModel {
   /// faults), not O(read + widen).
   static FqBertModel load_mapped(const std::string& path);
   /// Sniff the magic and dispatch: FQBERT01 -> load (stream),
-  /// FQBERT02 -> load_mapped (zero-copy). The registry's entry point.
+  /// FQBERT03 -> load_mapped (zero-copy). A retired FQBERT02 file (the
+  /// row-major int8/int16 layout) throws. The registry's entry point.
   static FqBertModel load_any(const std::string& path);
 
   /// Derive a lower-precision tier from this engine using the
@@ -249,12 +240,13 @@ class FqBertModel {
   /// config asks for it) and the requantizers/kernels are rebuilt.
   /// `new_bits` must be in [2, 8]; deriving at the engine's own
   /// bit-width returns an identical engine. The result is a normal
-  /// owned-storage engine (an int4 derivation is ~half the resident
-  /// weight bytes of its int8 parent).
+  /// owned-storage engine with the parent's resident weight bytes
+  /// (every bit-width stores the same int8 tiles).
   FqBertModel derive_tier(int new_bits) const;
 
-  /// Resident bytes of every weight-code store (owned or mapped) —
-  /// the number the per-tier memory accounting reports.
+  /// Resident bytes of every weight-tile store (owned or mapped),
+  /// Σ padded(out)·padded(in) — the number the per-tier memory
+  /// accounting reports.
   size_t resident_weight_bytes() const;
 
  private:
@@ -276,7 +268,7 @@ class FqBertModel {
   int weight_bits_ = 4;
 
   // Alive iff this engine was load_mapped(): owns the read-only mmap
-  // that every layer's w_map8/w_map16 view points into.
+  // that every layer's w_map view points into.
   std::shared_ptr<const platform::MappedFile> mapping_;
 };
 

@@ -5,15 +5,18 @@
 //   FQBERT01 — streamed. Weight codes travel int4-packed inline; load()
 //   reads and unpacks them into owned storage.
 //
-//   FQBERT02 — mapped. The file is [magic | u64 weights_base | metadata
+//   FQBERT03 — mapped. The file is [magic | u64 weights_base | metadata
 //   | weight region]. Each QuantLinear's metadata record carries a
 //   relative offset into the weight region instead of inline codes, and
-//   the region stores the arrays in their KERNEL-RESIDENT width (int8
-//   for weight_bits <= 4, int16 above), 64-byte aligned. load_mapped()
-//   mmaps the file read-only and points the engine's weight views
-//   straight into the mapping: loading is O(page faults), and every
+//   the region stores each layer's int8 TILES exactly as the GEMM reads
+//   them ([⌈out/16⌉][⌈in/4⌉][16][4], zero-padded, tile_bytes(out, in)
+//   bytes, see int_kernels.h) at 64-byte alignment, for every bit-width.
+//   load_mapped() mmaps the file read-only and points the engine's
+//   weight views straight into the mapping: loading is O(page faults)
+//   plus one read of the tiles for the column correction, and every
 //   process serving the same file shares one physical copy of the
-//   weight pages.
+//   weight pages. FQBERT02 (the retired row-major int8/int16 region)
+//   is refused with an explicit error rather than misread.
 //
 // The integer kernels (softmax LUT, GELU LUT, IntLayerNorm,
 // requantizers) are deterministic functions of the stored scales and
@@ -33,8 +36,18 @@ namespace fqbert::core {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'Q', 'B', 'E', 'R', 'T', '0', '1'};
-constexpr char kMagicMapped[8] = {'F', 'Q', 'B', 'E', 'R', 'T', '0', '2'};
+constexpr char kMagicMapped[8] = {'F', 'Q', 'B', 'E', 'R', 'T', '0', '3'};
+constexpr char kMagicRetired[8] = {'F', 'Q', 'B', 'E', 'R', 'T', '0', '2'};
 constexpr size_t kWeightAlign = 64;
+// Bound on a layer's in/out read from a file, checked before the
+// dimensions are padded or multiplied, so tile_bytes cannot overflow.
+constexpr int64_t kMaxDim = int64_t{1} << 28;
+
+[[noreturn]] void throw_retired(const std::string& path) {
+  throw std::runtime_error(
+      "FQBERT02 engine file (retired row-major weight layout) is no longer "
+      "supported; re-save it with save_mapped (FQBERT03): " + path);
+}
 
 size_t align_up(size_t v, size_t a) { return (v + a - 1) / a * a; }
 
@@ -143,19 +156,22 @@ QuantLinear read_quant_linear(std::istream& is) {
   q.out_scale = read_pod<double>(is);
   const auto n_codes = read_pod<uint64_t>(is);
   const auto packed = read_vec<uint8_t>(is);
-  if (q.weight_bits <= 4) {
-    q.set_codes(quant::unpack_int4(packed, n_codes));
-  } else {
-    q.set_codes(std::vector<int8_t>(packed.begin(), packed.end()));
-  }
+  std::vector<int8_t> codes =
+      q.weight_bits <= 4 ? quant::unpack_int4(packed, n_codes)
+                         : std::vector<int8_t>(packed.begin(), packed.end());
+  // Packing reads exactly in * out codes; anything else is a corrupt file.
+  if (!is || q.in < 0 || q.out < 0 || q.in > kMaxDim || q.out > kMaxDim ||
+      codes.size() != static_cast<size_t>(q.in * q.out))
+    throw std::runtime_error("corrupt FQ-BERT model file");
+  q.set_codes(codes);
   q.bias_q = read_vec<int32_t>(is);
   q.rq = quant::Requantizer::from_scale(q.out_scale /
                                         (q.in_scale * q.w_scale));
   return q;
 }
 
-/// FQBERT02 QuantLinear record: same scalar prefix as v1, then the
-/// weight blob's relative offset in the weight region instead of the
+/// FQBERT03 QuantLinear record: same scalar prefix as v1, then the
+/// tile blob's relative offset in the weight region instead of the
 /// inline packed codes.
 void write_quant_linear_mapped(std::ostream& os, const QuantLinear& q,
                                uint64_t rel_offset) {
@@ -304,9 +320,9 @@ FqBertModel FqBertModel::load(const std::string& path) {
 }
 
 bool FqBertModel::save_mapped(const std::string& path) const {
-  // Pass 1: lay out the weight region. Each blob lands 64-byte aligned
-  // at a relative offset, stored in its kernel-resident width, so a
-  // mapped view of it is usable with zero rewriting.
+  // Pass 1: lay out the weight region. Each tile blob lands 64-byte
+  // aligned at a relative offset, so a mapped view of it is usable with
+  // zero rewriting.
   std::vector<const QuantLinear*> linears;
   for (const FqEncoderLayer& l : layers_)
     for (const QuantLinear* q :
@@ -374,10 +390,8 @@ bool FqBertModel::save_mapped(const std::string& path) const {
   for (size_t i = 0; i < linears.size(); ++i) {
     pad_to(cursor, rel[i]);
     const QuantLinear& q = *linears[i];
-    const char* bytes = q.narrow_storage()
-                            ? reinterpret_cast<const char*>(q.narrow_data())
-                            : reinterpret_cast<const char*>(q.wide_data());
-    os.write(bytes, static_cast<std::streamsize>(q.weight_bytes()));
+    os.write(reinterpret_cast<const char*>(q.tiles()),
+             static_cast<std::streamsize>(q.weight_bytes()));
     cursor = rel[i] + q.weight_bytes();
   }
   return static_cast<bool>(os);
@@ -389,14 +403,17 @@ FqBertModel FqBertModel::load_mapped(const std::string& path) {
   const uint8_t* base = mapping->data();
   const size_t file_size = mapping->size();
   constexpr size_t kPrefix = sizeof(kMagicMapped) + sizeof(uint64_t);
+  if (file_size >= kPrefix &&
+      std::memcmp(base, kMagicRetired, sizeof(kMagicRetired)) == 0)
+    throw_retired(path);
   if (file_size < kPrefix ||
       std::memcmp(base, kMagicMapped, sizeof(kMagicMapped)) != 0)
-    throw std::runtime_error("not an FQBERT02 engine file: " + path);
+    throw std::runtime_error("not an FQBERT03 engine file: " + path);
   uint64_t weights_base = 0;
   std::memcpy(&weights_base, base + sizeof(kMagicMapped),
               sizeof(weights_base));
   if (weights_base < kPrefix || weights_base > file_size)
-    throw std::runtime_error("corrupt FQBERT02 engine file: " + path);
+    throw std::runtime_error("corrupt FQBERT03 engine file: " + path);
   const size_t region_size = file_size - static_cast<size_t>(weights_base);
 
   ByteReader is{base + kPrefix, static_cast<size_t>(weights_base) - kPrefix,
@@ -414,7 +431,7 @@ FqBertModel FqBertModel::load_mapped(const std::string& path) {
 
   const auto n_layers = read_pod<uint64_t>(is);
   if (!is.ok || n_layers > (1u << 20))
-    throw std::runtime_error("corrupt FQBERT02 engine file: " + path);
+    throw std::runtime_error("corrupt FQBERT03 engine file: " + path);
   m.layers_.resize(static_cast<size_t>(n_layers));
   for (FqEncoderLayer& l : m.layers_) {
     l.hidden = m.config_.hidden;
@@ -438,20 +455,13 @@ FqBertModel FqBertModel::load_mapped(const std::string& path) {
       q.out_scale = read_pod<double>(is);
       const auto rel = read_pod<uint64_t>(is);
       q.bias_q = read_vec<int32_t>(is);
-      if (!is.ok || q.in < 0 || q.out < 0 ||
-          (q.out != 0 &&
-           q.in > static_cast<int64_t>(SIZE_MAX / 2) / q.out))
-        throw std::runtime_error("corrupt FQBERT02 engine file: " + path);
-      const size_t elems = static_cast<size_t>(q.in * q.out);
-      const size_t width = q.weight_bits <= 4 ? 1 : sizeof(int16_t);
+      if (!is.ok || q.in < 0 || q.out < 0 || q.in > kMaxDim ||
+          q.out > kMaxDim)
+        throw std::runtime_error("corrupt FQBERT03 engine file: " + path);
       if (rel % kWeightAlign != 0 || rel > region_size ||
-          elems > (region_size - static_cast<size_t>(rel)) / width)
-        throw std::runtime_error("corrupt FQBERT02 engine file: " + path);
-      const uint8_t* wptr = base + weights_base + rel;
-      if (q.narrow_storage())
-        q.w_map8 = reinterpret_cast<const int8_t*>(wptr);
-      else
-        q.w_map16 = reinterpret_cast<const int16_t*>(wptr);
+          q.weight_bytes() > region_size - static_cast<size_t>(rel))
+        throw std::runtime_error("corrupt FQBERT03 engine file: " + path);
+      q.map_tiles(reinterpret_cast<const int8_t*>(base + weights_base + rel));
       q.rq = quant::Requantizer::from_scale(q.out_scale /
                                             (q.in_scale * q.w_scale));
       *qp = std::move(q);
@@ -468,7 +478,7 @@ FqBertModel FqBertModel::load_mapped(const std::string& path) {
   m.pooler_b_ = read_vec<float>(is);
   m.classifier_b_ = read_vec<float>(is);
   if (!is.ok)
-    throw std::runtime_error("truncated FQBERT02 engine file: " + path);
+    throw std::runtime_error("truncated FQBERT03 engine file: " + path);
   // The weight views above stay valid exactly as long as this mapping
   // does; the model owns it (and copies of the model share it).
   m.mapping_ = std::move(mapping);
@@ -482,6 +492,8 @@ FqBertModel FqBertModel::load_any(const std::string& path) {
   is.read(magic, sizeof(magic));
   const bool mapped =
       is && std::memcmp(magic, kMagicMapped, sizeof(kMagicMapped)) == 0;
+  if (is && std::memcmp(magic, kMagicRetired, sizeof(kMagicRetired)) == 0)
+    throw_retired(path);
   is.close();
   return mapped ? load_mapped(path) : load(path);
 }

@@ -1,183 +1,302 @@
 #include "core/int_kernels.h"
 
 #include <cassert>
+#include <cstring>
+
+#include "core/kernel_target.h"
 
 namespace fqbert::core {
 
-void int_matmul_wt(const std::vector<int8_t>& a, const std::vector<int8_t>& w,
-                   std::vector<int32_t>& acc, int64_t m, int64_t k,
-                   int64_t n) {
-  assert(static_cast<int64_t>(a.size()) == m * k);
-  assert(static_cast<int64_t>(w.size()) == n * k);
-  acc.assign(static_cast<size_t>(m * n), 0);
-  for (int64_t i = 0; i < m; ++i) {
-    const int8_t* arow = a.data() + i * k;
-    int32_t* crow = acc.data() + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* wrow = w.data() + j * k;
-      int32_t s = 0;
-      for (int64_t p = 0; p < k; ++p)
-        s += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(wrow[p]);
-      crow[j] = s;
+// ---------------------------------------------------------------------------
+// Tile packing
+// ---------------------------------------------------------------------------
+
+void pack_tiles(const int8_t* src, int64_t row_stride, int64_t col_stride,
+                int64_t n, int64_t k, int8_t* tiles, int32_t* corr) {
+  const int64_t depth = padded_depth(k);
+  const int64_t ncols = padded_cols(n);
+  const int64_t kfull = k & ~(kTileDepth - 1);
+  if ((ncols != n || depth != k) && ncols * depth > 0)
+    std::memset(tiles, 0, tile_bytes(n, k));
+  // Byte (j, p) of column tile j0 sits at group p/4, lane j - j0, step
+  // p % 4: walking j by (tile, lane) and p by (group, step) keeps every
+  // index an increment.
+  for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const int64_t lanes = n - j0 < kTileCols ? n - j0 : kTileCols;
+    int8_t* tile_col = tiles + j0 * depth;
+    int32_t sums[kTileCols] = {};
+    if (col_stride == 1) {
+      // Rows of B are contiguous (weights, K heads): 4-byte chunks.
+      for (int64_t c = 0; c < lanes; ++c) {
+        const int8_t* row = src + (j0 + c) * row_stride;
+        int8_t* d = tile_col + c * kTileDepth;
+        int64_t p0 = 0;
+        for (; p0 < kfull; p0 += kTileDepth, d += kTileBytes)
+          std::memcpy(d, row + p0, kTileDepth);
+        if (p0 < k) std::memcpy(d, row + p0, static_cast<size_t>(k - p0));
+        for (int64_t p = 0; p < k; ++p) sums[c] += row[p];
+      }
+    } else {
+      // Columns of B are contiguous (Vᵀ): four source rows interleave
+      // into each group.
+      int8_t* group = tile_col;
+      for (int64_t p0 = 0; p0 < k; p0 += kTileDepth, group += kTileBytes) {
+        const int8_t* r0 = src + j0 * row_stride + p0 * col_stride;
+        if (p0 + kTileDepth <= k) {
+          const int8_t* r1 = r0 + col_stride;
+          const int8_t* r2 = r1 + col_stride;
+          const int8_t* r3 = r2 + col_stride;
+          for (int64_t c = 0; c < lanes; ++c) {
+            const int64_t at = c * row_stride;
+            group[c * kTileDepth] = r0[at];
+            group[c * kTileDepth + 1] = r1[at];
+            group[c * kTileDepth + 2] = r2[at];
+            group[c * kTileDepth + 3] = r3[at];
+          }
+        } else {
+          for (int64_t q = 0; p0 + q < k; ++q)
+            for (int64_t c = 0; c < lanes; ++c)
+              group[c * kTileDepth + q] = r0[q * col_stride + c * row_stride];
+        }
+      }
+      if (corr != nullptr)
+        for (int64_t c = 0; c < lanes; ++c)
+          for (int64_t p = 0; p < k; ++p)
+            sums[c] += src[(j0 + c) * row_stride + p * col_stride];
+    }
+    if (corr != nullptr)
+      for (int64_t c = 0; c < kTileCols; ++c) corr[j0 + c] = 128 * sums[c];
+  }
+}
+
+void unpack_tiles(const int8_t* tiles, int64_t n, int64_t k, int8_t* dst) {
+  const int64_t depth = padded_depth(k);
+  const int64_t kfull = k & ~(kTileDepth - 1);
+  for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const int8_t* tile_col = tiles + j0 * depth;
+    for (int64_t c = 0; c < kTileCols && j0 + c < n; ++c) {
+      int8_t* d = dst + (j0 + c) * k;
+      const int8_t* s = tile_col + c * kTileDepth;
+      int64_t p0 = 0;
+      for (; p0 < kfull; p0 += kTileDepth, s += kTileBytes)
+        std::memcpy(d + p0, s, kTileDepth);
+      if (p0 < k) std::memcpy(d + p0, s, static_cast<size_t>(k - p0));
     }
   }
 }
 
+void tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
+                      int32_t* corr) {
+  // The tiles are [column tile][group][lane][step]: one sequential walk
+  // adds every byte to its lane's column. Padding bytes are zero.
+  const int64_t depth = padded_depth(k);
+  const int64_t ncols = padded_cols(n);
+  const int8_t* s = tiles;
+  for (int64_t j0 = 0; j0 < ncols; j0 += kTileCols) {
+    int32_t sums[kTileCols] = {};
+    for (int64_t p0 = 0; p0 < depth; p0 += kTileDepth)
+      for (int64_t c = 0; c < kTileCols; ++c, s += kTileDepth)
+        sums[c] += s[0] + s[1] + s[2] + s[3];
+    for (int64_t c = 0; c < kTileCols; ++c) corr[j0 + c] = 128 * sums[c];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Portable target
+// ---------------------------------------------------------------------------
+
 namespace {
 
-/// The panel kernel body, parametric in the weight element type. Both
-/// instantiations produce identical accumulators for identical weight
-/// VALUES: every weight element is widened to int32 before the multiply.
-template <typename WT>
-void panel_impl(const std::vector<int8_t>& a, const WT* wbase,
-                std::vector<int32_t>& acc, int64_t m, int64_t k, int64_t n,
-                std::vector<int16_t>& panel) {
-  constexpr int64_t kPanelRows = 4;
-  assert(static_cast<int64_t>(a.size()) == m * k);
-  acc.resize(static_cast<size_t>(m * n));
-  if (m >= kPanelRows) panel.resize(static_cast<size_t>(kPanelRows * k));
+/// s[2r + l] = Σ_p a_r[p] · w_l[p] for R rows (row stride k) and two
+/// weight lanes: every weight load feeds R rows and every activation
+/// load two lanes. The contiguous int16 operands let the compiler turn
+/// the reduction into widening multiply-adds.
+template <int R>
+void reduce_block(const int16_t* a, int64_t k, const int16_t* w0,
+                  const int16_t* w1, int32_t* s) {
+  int32_t acc[R][2] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const int32_t w0v = w0[p], w1v = w1[p];
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] += a[r * k + p] * w0v;
+      acc[r][1] += a[r * k + p] * w1v;
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    s[2 * r] = acc[r][0];
+    s[2 * r + 1] = acc[r][1];
+  }
+}
 
-  int64_t i = 0;
-  for (; i + kPanelRows <= m; i += kPanelRows) {
-    for (int64_t r = 0; r < kPanelRows; ++r)
-      for (int64_t p = 0; p < k; ++p)
-        panel[static_cast<size_t>(r * k + p)] = a[(i + r) * k + p];
-    const int16_t* a0 = panel.data();
-    const int16_t* a1 = a0 + k;
-    const int16_t* a2 = a1 + k;
-    const int16_t* a3 = a2 + k;
-    // 4x2 register block: every activation load feeds two weight rows,
-    // every weight load feeds four activation rows.
-    int64_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const WT* w0 = wbase + j * k;
-      const WT* w1 = w0 + k;
-      int32_t s00 = 0, s01 = 0, s10 = 0, s11 = 0;
-      int32_t s20 = 0, s21 = 0, s30 = 0, s31 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t w0v = w0[p], w1v = w1[p];
-        const int32_t a0v = a0[p], a1v = a1[p];
-        const int32_t a2v = a2[p], a3v = a3[p];
-        s00 += a0v * w0v;
-        s01 += a0v * w1v;
-        s10 += a1v * w0v;
-        s11 += a1v * w1v;
-        s20 += a2v * w0v;
-        s21 += a2v * w1v;
-        s30 += a3v * w0v;
-        s31 += a3v * w1v;
-      }
-      int32_t* c0 = acc.data() + (i + 0) * n + j;
-      int32_t* c1 = acc.data() + (i + 1) * n + j;
-      int32_t* c2 = acc.data() + (i + 2) * n + j;
-      int32_t* c3 = acc.data() + (i + 3) * n + j;
-      c0[0] = s00; c0[1] = s01;
-      c1[0] = s10; c1[1] = s11;
-      c2[0] = s20; c2[1] = s21;
-      c3[0] = s30; c3[1] = s31;
-    }
-    for (; j < n; ++j) {
-      const WT* wrow = wbase + j * k;
-      int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t wv = wrow[p];
-        s0 += a0[p] * wv;
-        s1 += a1[p] * wv;
-        s2 += a2[p] * wv;
-        s3 += a3[p] * wv;
-      }
-      acc[static_cast<size_t>((i + 0) * n + j)] = s0;
-      acc[static_cast<size_t>((i + 1) * n + j)] = s1;
-      acc[static_cast<size_t>((i + 2) * n + j)] = s2;
-      acc[static_cast<size_t>((i + 3) * n + j)] = s3;
-    }
-  }
+constexpr void (*kReduceBlock[4])(const int16_t*, int64_t, const int16_t*,
+                                  const int16_t*, int32_t*) = {
+    &reduce_block<1>, &reduce_block<2>, &reduce_block<3>, &reduce_block<4>};
 
-  // Remainder rows (m % 4): read activations straight from `a` — the
-  // widening happens in the multiply, so short sequences and batch-1
-  // tails pay neither the panel staging copy nor 4-row padding work.
-  // Both tails keep the 2-wide weight-row block so activation loads are
-  // still shared.
-  if (i + 2 <= m) {
-    const int8_t* a0 = a.data() + i * k;
-    const int8_t* a1 = a0 + k;
-    int64_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const WT* w0 = wbase + j * k;
-      const WT* w1 = w0 + k;
-      int32_t s00 = 0, s01 = 0, s10 = 0, s11 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t w0v = w0[p], w1v = w1[p];
-        const int32_t a0v = static_cast<int16_t>(a0[p]);
-        const int32_t a1v = static_cast<int16_t>(a1[p]);
-        s00 += a0v * w0v;
-        s01 += a0v * w1v;
-        s10 += a1v * w0v;
-        s11 += a1v * w1v;
-      }
-      acc[static_cast<size_t>((i + 0) * n + j)] = s00;
-      acc[static_cast<size_t>((i + 0) * n + j + 1)] = s01;
-      acc[static_cast<size_t>((i + 1) * n + j)] = s10;
-      acc[static_cast<size_t>((i + 1) * n + j + 1)] = s11;
+void gemm_portable(const int8_t* a, int64_t lda, int64_t m, int64_t k,
+                   const int8_t* tiles, const int32_t* corr, int64_t n,
+                   int32_t* c, int64_t ldc) {
+  // The VNNI contract in plain C++. Σ u8(a XOR 0x80)·w − corr equals
+  // Σ a·w + (128·Σw − corr), so the rows are widened once into int16,
+  // each tile column once into 16 contiguous int16 lanes, and the
+  // signed products reduce over those.
+  static thread_local std::vector<int16_t> wide_a, wide_w;
+  wide_a.resize(static_cast<size_t>(m * k));
+  wide_w.resize(static_cast<size_t>(kTileCols * k));
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t p = 0; p < k; ++p) wide_a[i * k + p] = a[i * lda + p];
+
+  const int64_t depth = padded_depth(k);
+  for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const int64_t lanes = n - j0 < kTileCols ? n - j0 : kTileCols;
+    const int8_t* t = tiles + j0 * depth;
+    const int64_t kfull = k & ~(kTileDepth - 1);
+    int64_t p0 = 0;
+    for (; p0 < kfull; p0 += kTileDepth, t += kTileBytes)
+      for (int64_t l = 0; l < kTileCols; ++l)
+        for (int64_t q = 0; q < kTileDepth; ++q)
+          wide_w[l * k + p0 + q] = t[l * kTileDepth + q];
+    for (int64_t l = 0; p0 < k && l < kTileCols; ++l)
+      for (int64_t q = 0; p0 + q < k; ++q)
+        wide_w[l * k + p0 + q] = t[l * kTileDepth + q];
+    int32_t adj[kTileCols] = {};
+    for (int64_t l = 0; l < lanes; ++l) {
+      int32_t sum = 0;
+      for (int64_t p = 0; p < k; ++p) sum += wide_w[l * k + p];
+      adj[l] = 128 * sum - (corr != nullptr ? corr[j0 + l] : 0);
     }
-    for (; j < n; ++j) {
-      const WT* wrow = wbase + j * k;
-      int32_t s0 = 0, s1 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t wv = wrow[p];
-        s0 += static_cast<int16_t>(a0[p]) * wv;
-        s1 += static_cast<int16_t>(a1[p]) * wv;
+
+    for (int64_t i0 = 0; i0 < m; i0 += 4) {
+      const int64_t rows = m - i0 < 4 ? m - i0 : 4;
+      const int16_t* ab = wide_a.data() + i0 * k;
+      for (int64_t l = 0; l < lanes; l += 2) {
+        const int16_t* w0 = wide_w.data() + l * k;
+        int32_t s[8];
+        kReduceBlock[rows - 1](ab, k, w0, w0 + k, s);
+        for (int64_t r = 0; r < rows; ++r) {
+          int32_t* crow = c + (i0 + r) * ldc + j0 + l;
+          crow[0] = s[2 * r] + adj[l];
+          if (l + 1 < lanes) crow[1] = s[2 * r + 1] + adj[l + 1];
+        }
       }
-      acc[static_cast<size_t>((i + 0) * n + j)] = s0;
-      acc[static_cast<size_t>((i + 1) * n + j)] = s1;
-    }
-    i += 2;
-  }
-  if (i < m) {
-    const int8_t* arow = a.data() + i * k;
-    int64_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const WT* w0 = wbase + j * k;
-      const WT* w1 = w0 + k;
-      int32_t s0 = 0, s1 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t av = static_cast<int16_t>(arow[p]);
-        s0 += av * static_cast<int32_t>(w0[p]);
-        s1 += av * static_cast<int32_t>(w1[p]);
-      }
-      acc[static_cast<size_t>(i * n + j)] = s0;
-      acc[static_cast<size_t>(i * n + j + 1)] = s1;
-    }
-    for (; j < n; ++j) {
-      const WT* wrow = wbase + j * k;
-      int32_t s = 0;
-      for (int64_t p = 0; p < k; ++p)
-        s += static_cast<int16_t>(arow[p]) * static_cast<int32_t>(wrow[p]);
-      acc[static_cast<size_t>(i * n + j)] = s;
     }
   }
+}
+
+void requant_portable(const int32_t* acc, const int32_t* bias, int64_t mult,
+                      int shift, int8_t* out, int64_t rows, int64_t cols) {
+  // Branch-free: (acc + bias) * mult in int64, rounded half away from
+  // zero by the shift, clamped to [-127, 127].
+  const int64_t half = shift > 0 ? (int64_t{1} << (shift - 1)) : 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const int32_t* arow = acc + r * cols;
+    int8_t* orow = out + r * cols;
+    for (int64_t c = 0; c < cols; ++c) {
+      const int64_t v =
+          (static_cast<int64_t>(arow[c]) + (bias ? bias[c] : 0)) * mult;
+      orow[c] = quant::clamp_i8(
+          shift > 0 ? quant::rounding_shift_right_branchless(v, shift, half)
+                    : v);
+    }
+  }
+}
+
+struct Ops {
+  kernels::GemmFn gemm;
+  kernels::RequantFn requant;
+};
+
+constexpr Ops kPortableOps{&gemm_portable, &requant_portable};
+constexpr Ops kVnniOps{&kernels::gemm_vnni, &kernels::requant_vnni};
+
+const Ops& ops_of(KernelTarget t) {
+  return t == KernelTarget::kAvx512Vnni ? kVnniOps : kPortableOps;
+}
+
+thread_local const Ops* t_override = nullptr;
+
+const Ops& active_ops() {
+  static const Ops& startup = ops_of(startup_kernel_target());
+  return t_override != nullptr ? *t_override : startup;
 }
 
 }  // namespace
 
-void int_matmul_wt_panel(const std::vector<int8_t>& a, const int16_t* w16,
-                         std::vector<int32_t>& acc, int64_t m, int64_t k,
-                         int64_t n, std::vector<int16_t>& panel) {
-  panel_impl(a, w16, acc, m, k, n, panel);
+// ---------------------------------------------------------------------------
+// Target selection
+// ---------------------------------------------------------------------------
+
+const char* kernel_target_name(KernelTarget t) {
+  return t == KernelTarget::kAvx512Vnni ? "avx512_vnni" : "portable";
 }
 
-void int_matmul_wt_panel(const std::vector<int8_t>& a, const int8_t* w8,
-                         std::vector<int32_t>& acc, int64_t m, int64_t k,
-                         int64_t n, std::vector<int16_t>& panel) {
-  panel_impl(a, w8, acc, m, k, n, panel);
+bool kernel_target_supported(KernelTarget t) {
+  if (t == KernelTarget::kPortable) return true;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512vnni");
+#else
+  return false;
+#endif
 }
 
-void int_matmul_wt_panel(const std::vector<int8_t>& a,
-                         const std::vector<int16_t>& w16,
-                         std::vector<int32_t>& acc, int64_t m, int64_t k,
-                         int64_t n, std::vector<int16_t>& panel) {
-  assert(static_cast<int64_t>(w16.size()) == n * k);
-  panel_impl(a, w16.data(), acc, m, k, n, panel);
+KernelTarget startup_kernel_target() {
+  static const KernelTarget target =
+      kernel_target_supported(KernelTarget::kAvx512Vnni)
+          ? KernelTarget::kAvx512Vnni
+          : KernelTarget::kPortable;
+  return target;
+}
+
+const char* kernel_name() {
+  return kernel_target_name(startup_kernel_target());
+}
+
+ScopedKernelTarget::ScopedKernelTarget(KernelTarget t) : prev_(t_override) {
+  assert(kernel_target_supported(t));
+  t_override = &ops_of(t);
+}
+
+ScopedKernelTarget::~ScopedKernelTarget() {
+  t_override = static_cast<const Ops*>(prev_);
+}
+
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
+
+void gemm_tiles(const int8_t* a, int64_t lda, int64_t m, int64_t k,
+                const int8_t* tiles, const int32_t* corr, int64_t n,
+                int32_t* c, int64_t ldc) {
+  active_ops().gemm(a, lda, m, k, tiles, corr, n, c, ldc);
+}
+
+namespace {
+
+// Per-thread packing scratch of the vector entry points below.
+struct PackScratch {
+  std::vector<int8_t> tiles, a8;
+  std::vector<int32_t> corr;
+};
+thread_local PackScratch t_pack;
+
+}  // namespace
+
+void int_matmul_bt(const std::vector<int8_t>& a, const std::vector<int8_t>& b,
+                   std::vector<int32_t>& acc, int64_t m, int64_t k,
+                   int64_t n) {
+  assert(static_cast<int64_t>(a.size()) == m * k);
+  assert(static_cast<int64_t>(b.size()) == n * k);
+  acc.resize(static_cast<size_t>(m * n));
+  PackScratch& s = t_pack;
+  s.tiles.resize(tile_bytes(n, k));
+  s.corr.resize(static_cast<size_t>(padded_cols(n)));
+  pack_tiles(b.data(), k, 1, n, k, s.tiles.data(), s.corr.data());
+  gemm_tiles(a.data(), k, m, k, s.tiles.data(), s.corr.data(), n, acc.data(),
+             n);
 }
 
 void int_matmul_pv(const std::vector<int32_t>& p, const std::vector<int8_t>& v,
@@ -185,18 +304,21 @@ void int_matmul_pv(const std::vector<int32_t>& p, const std::vector<int8_t>& v,
                    int64_t n) {
   assert(static_cast<int64_t>(p.size()) == m * k);
   assert(static_cast<int64_t>(v.size()) == k * n);
-  acc.assign(static_cast<size_t>(m * n), 0);
-  for (int64_t i = 0; i < m; ++i) {
-    const int32_t* prow = p.data() + i * k;
-    int32_t* crow = acc.data() + i * n;
-    for (int64_t q = 0; q < k; ++q) {
-      const int32_t pv = prow[q];
-      if (pv == 0) continue;
-      const int8_t* vrow = v.data() + q * n;
-      for (int64_t j = 0; j < n; ++j)
-        crow[j] += pv * static_cast<int32_t>(vrow[j]);
-    }
+  acc.resize(static_cast<size_t>(m * n));
+  PackScratch& s = t_pack;
+  // p - 128 as int8: the GEMM's XOR 0x80 turns it back into the
+  // unsigned probability, so no correction applies.
+  const size_t count = p.size();
+  s.a8.resize(count);
+  const int32_t* probs = p.data();
+  int8_t* a8 = s.a8.data();
+  for (size_t i = 0; i < count; ++i) {
+    assert(probs[i] >= 0 && probs[i] <= 255);
+    a8[i] = static_cast<int8_t>(probs[i] - 128);
   }
+  s.tiles.resize(tile_bytes(n, k));
+  pack_tiles(v.data(), 1, n, n, k, s.tiles.data(), nullptr);
+  gemm_tiles(s.a8.data(), k, m, k, s.tiles.data(), nullptr, n, acc.data(), n);
 }
 
 void requantize_i8(const std::vector<int32_t>& acc,
@@ -207,35 +329,9 @@ void requantize_i8(const std::vector<int32_t>& acc,
   assert(bias_per_col.empty() ||
          static_cast<int64_t>(bias_per_col.size()) == cols);
   out.resize(static_cast<size_t>(rows * cols));
-
-  // Branch-free inner loop, value-identical to
-  // saturate_signed(rq.apply(v), 8). Requantization is ~1/3 of the
-  // epilogue-bound layers' runtime, and the per-element sign/saturation
-  // branches of the generic helpers mispredict on mixed-sign
-  // accumulators, so this loop is worth hand-flattening (the compiler
-  // then vectorizes it).
-  const int64_t mult = rq.multiplier;
-  const int shift = rq.shift;  // in [0, 62] by Requantizer::from_scale
-  const int64_t half = shift > 0 ? (1ll << (shift - 1)) : 0;
-  const int32_t* bias = bias_per_col.empty() ? nullptr : bias_per_col.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const int32_t* arow = acc.data() + r * cols;
-    int8_t* orow = out.data() + r * cols;
-    if (shift > 0) {
-      for (int64_t c = 0; c < cols; ++c) {
-        const int64_t with_bias =
-            static_cast<int64_t>(arow[c]) + (bias ? bias[c] : 0);
-        orow[c] = quant::clamp_i8(quant::rounding_shift_right_branchless(
-            with_bias * mult, shift, half));
-      }
-    } else {
-      for (int64_t c = 0; c < cols; ++c) {
-        const int64_t with_bias =
-            static_cast<int64_t>(arow[c]) + (bias ? bias[c] : 0);
-        orow[c] = quant::clamp_i8(with_bias * mult);
-      }
-    }
-  }
+  active_ops().requant(acc.data(),
+                       bias_per_col.empty() ? nullptr : bias_per_col.data(),
+                       rq.multiplier, rq.shift, out.data(), rows, cols);
 }
 
 }  // namespace fqbert::core

@@ -1,7 +1,7 @@
 // Read-only memory-mapped file. The engine loader uses it for
-// zero-copy FQBERT02 loads: the weight arrays in the file are already
-// in the panel kernel's resident layout, so the engine's weight views
-// can point straight into the mapping. PROT_READ + MAP_SHARED means
+// zero-copy FQBERT03 loads: the weight tiles in the file are already
+// in the GEMM's layout, so the engine's weight views can point
+// straight into the mapping. PROT_READ + MAP_SHARED means
 // the pages live in the page cache once per FILE, not once per
 // process — N server replicas loading the same engine share one
 // physical copy, and a hot LOAD costs page faults, not read+widen.

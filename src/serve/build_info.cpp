@@ -1,5 +1,7 @@
 #include "serve/build_info.h"
 
+#include "core/int_kernels.h"
+
 namespace fqbert::serve {
 
 #ifndef FQBERT_VERSION
@@ -41,6 +43,8 @@ const char* build_sanitizer() {
 #endif
 }
 
+const char* build_kernel() { return core::kernel_name(); }
+
 std::string build_info_string() {
   std::string out;
   out += "version=";
@@ -51,6 +55,8 @@ std::string build_info_string() {
   out += build_compiler();
   out += " sanitizer=";
   out += build_sanitizer();
+  out += " kernel=";
+  out += build_kernel();
   return out;
 }
 

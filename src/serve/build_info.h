@@ -1,11 +1,13 @@
 // Build identity, surfaced two ways so an operator can always tie a
 // running binary (or a crash dump) back to a source revision:
-//   * the `fqbert_build_info{version,git_sha,compiler,sanitizer}` gauge
+//   * the `fqbert_build_info{version,git_sha,compiler,sanitizer,kernel}` gauge
 //     (value 1) on every Prometheus exposition — the standard idiom for
 //     joining metrics against deploys;
 //   * the flight recorder's crash banner, which prints the same string.
 // Values are baked at compile time (FQBERT_GIT_SHA comes from CMake via
-// `git rev-parse`); there is nothing to configure at runtime.
+// `git rev-parse`), except the kernel target, which the engine picks
+// once at startup from the CPU; there is nothing to configure at
+// runtime.
 #pragma once
 
 #include <string>
@@ -25,8 +27,13 @@ const char* build_compiler();
 /// Sanitizer baked into this binary: "address", "thread", or "none".
 const char* build_sanitizer();
 
+/// Integer kernel target the engine runs on this CPU: "avx512_vnni" or
+/// "portable".
+const char* build_kernel();
+
 /// One-line summary, identical wording in the crash dump and logs:
 ///   version=0.9.0 git_sha=abc1234 compiler=gcc 13.2.0 sanitizer=none
+///   kernel=avx512_vnni
 std::string build_info_string();
 
 }  // namespace fqbert::serve

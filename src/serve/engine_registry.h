@@ -37,7 +37,7 @@ class EngineRegistry {
 
   /// Register a serialized engine file under `name`; the tier is the
   /// file's native weight_bits. The file is loaded exactly once, here
-  /// (FQBERT02 files are mmapped zero-copy); every worker shares the
+  /// (FQBERT03 files are mmapped zero-copy); every worker shares the
   /// loaded instance. Returns false when the file cannot be loaded.
   bool register_file(const std::string& name, const std::string& path);
 

@@ -89,7 +89,8 @@ void render_build_info(std::string& out) {
              "version=\"" + escape_label(build_version()) + "\",git_sha=\"" +
                  escape_label(build_git_sha()) + "\",compiler=\"" +
                  escape_label(build_compiler()) + "\",sanitizer=\"" +
-                 escape_label(build_sanitizer()) + "\"",
+                 escape_label(build_sanitizer()) + "\",kernel=\"" +
+                 escape_label(build_kernel()) + "\"",
              1);
 }
 

@@ -170,7 +170,7 @@ bool ModelRouter::load_model(const std::string& name, const std::string& path,
     return false;
   }
   // The expensive file load happens here, on the control-plane thread;
-  // live lanes never notice. FQBERT02 files mmap in O(page faults).
+  // live lanes never notice. FQBERT03 files mmap in O(page faults).
   // Re-registering a (name, tier) that is already bound REPLACES the
   // registry binding; a lane serving the old engine keeps it alive
   // through its own shared_ptr.

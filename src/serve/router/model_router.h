@@ -114,7 +114,7 @@ class ModelRouter {
                 std::string* error = nullptr);
 
   /// Hot-load one tier under live traffic. With a path: read the
-  /// engine file (mmap zero-copy for FQBERT02), publish it in the
+  /// engine file (mmap zero-copy for FQBERT03), publish it in the
   /// registry under `name`, and open its lane. bits 0 serves the
   /// file's native tier; bits != native derives that tier from the
   /// loaded engine first. With an empty path: derive `bits` from the

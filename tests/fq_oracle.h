@@ -1,24 +1,90 @@
 // The seed's scalar FQ-BERT inference path, preserved as the oracle
-// that tests and benches compare the unified panel-kernel path against.
+// that tests and benches compare the engine's tile-GEMM path against.
 //
-// PR 2 deleted this path from the engine (forward() now delegates to
-// the panel kernel); this header is its faithful reconstruction over
-// the reference kernel int_matmul_wt: per-call allocations, scalar
-// matmuls, and — matching the seed, where int8 codes stayed resident in
-// QuantLinear::w_codes — the weight codes are narrowed ONCE at oracle
-// construction, never inside a timed or fuzzed call. Shared by
-// tests/test_forward_fuzz.cpp and bench/bench_single_latency.cpp so
-// there is exactly one reference implementation to keep in sync.
+// The engine's forward() runs the tile GEMM (src/core/int_kernels.h) on
+// the host's kernel target; this header is the seed path's faithful
+// reconstruction over its own scalar kernels — int_matmul_wt,
+// int_matmul_pv and requantize_i8 below live here, not in the engine,
+// so the oracle never shares code with what it checks. Per-call
+// allocations, scalar matmuls, and — matching the seed, where int8
+// codes stayed resident — the weight codes are unpacked ONCE at oracle
+// construction, never inside a timed or fuzzed call. Shared by the
+// kernel/fuzz/accelerator tests and the kernel/latency benches so there
+// is exactly one reference implementation to keep in sync.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "core/fq_bert.h"
-#include "core/int_kernels.h"
 
 namespace fqbert::core::oracle {
 
-/// A QuantLinear plus its resident int8 codes (seed layout).
+/// acc[m,n] = sum_k a[m,k] * w[n,k] (w row-major [n, k], the usual
+/// [out, in] layout; both int8 codes). The paper-reference kernel; QKᵀ
+/// is the same product with K as w.
+inline void int_matmul_wt(const std::vector<int8_t>& a,
+                          const std::vector<int8_t>& w,
+                          std::vector<int32_t>& acc, int64_t m, int64_t k,
+                          int64_t n) {
+  assert(static_cast<int64_t>(a.size()) == m * k);
+  assert(static_cast<int64_t>(w.size()) == n * k);
+  acc.assign(static_cast<size_t>(m * n), 0);
+  for (int64_t i = 0; i < m; ++i) {
+    const int8_t* arow = a.data() + i * k;
+    int32_t* crow = acc.data() + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      const int8_t* wrow = w.data() + j * k;
+      int32_t s = 0;
+      for (int64_t p = 0; p < k; ++p)
+        s += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(wrow[p]);
+      crow[j] = s;
+    }
+  }
+}
+
+/// acc[m,n] = sum_k p[m,k] * v[k,n], p unsigned 8-bit codes in int32.
+inline void int_matmul_pv(const std::vector<int32_t>& p,
+                          const std::vector<int8_t>& v,
+                          std::vector<int32_t>& acc, int64_t m, int64_t k,
+                          int64_t n) {
+  assert(static_cast<int64_t>(p.size()) == m * k);
+  assert(static_cast<int64_t>(v.size()) == k * n);
+  acc.assign(static_cast<size_t>(m * n), 0);
+  for (int64_t i = 0; i < m; ++i) {
+    const int32_t* prow = p.data() + i * k;
+    int32_t* crow = acc.data() + i * n;
+    for (int64_t q = 0; q < k; ++q) {
+      const int32_t pv = prow[q];
+      if (pv == 0) continue;
+      const int8_t* vrow = v.data() + q * n;
+      for (int64_t j = 0; j < n; ++j)
+        crow[j] += pv * static_cast<int32_t>(vrow[j]);
+    }
+  }
+}
+
+/// The seed requantizer: round((acc + bias) * m) in int64, saturated
+/// onto the symmetric int8 grid (Requantizer::apply without its int32
+/// narrowing, so sums beyond int32 saturate instead of wrapping).
+inline void requantize_i8(const std::vector<int32_t>& acc,
+                          const std::vector<int32_t>& bias_per_col,
+                          const quant::Requantizer& rq,
+                          std::vector<int8_t>& out, int64_t rows,
+                          int64_t cols) {
+  out.resize(static_cast<size_t>(rows * cols));
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t c = 0; c < cols; ++c) {
+      const int64_t v =
+          static_cast<int64_t>(acc[static_cast<size_t>(r * cols + c)]) +
+          (bias_per_col.empty() ? 0 : bias_per_col[static_cast<size_t>(c)]);
+      out[static_cast<size_t>(r * cols + c)] =
+          static_cast<int8_t>(quant::saturate_signed(
+              quant::rounding_shift_right(v * rq.multiplier, rq.shift), 8));
+    }
+}
+
+/// A QuantLinear plus its row-major int8 codes (seed layout).
 struct OracleLinear {
   const QuantLinear* ql = nullptr;
   std::vector<int8_t> codes;
@@ -81,7 +147,7 @@ inline void oracle_layer_forward(const OracleLayer& ol,
       std::copy(krow, krow + head_dim, kh.data() + r * head_dim);
       std::copy(vrow, vrow + head_dim, vh.data() + r * head_dim);
     }
-    int_matmul_bt(qh, kh, scores, s_len, head_dim, s_len);
+    int_matmul_wt(qh, kh, scores, s_len, head_dim, s_len);
     layer.apply_softmax(scores, probs, s_len);
     int_matmul_pv(probs, vh, ctx_acc, s_len, s_len, head_dim);
     for (int64_t r = 0; r < s_len; ++r) {

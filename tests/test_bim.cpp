@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/bim.h"
-#include "core/int_kernels.h"
+#include "fq_oracle.h"
 #include "tensor/rng.h"
 
 namespace fqbert::accel {
@@ -133,7 +133,7 @@ TEST(BimMatmul, MatchesIntKernel8x4) {
   for (auto& v : w) v = static_cast<int8_t>(rng.randint(-8, 7));
   std::vector<int32_t> via_bim, via_kernel;
   bim_matmul_wt(b, BimMode::k8x4, a, w, via_bim, rows, k, cols);
-  core::int_matmul_wt(a, w, via_kernel, rows, k, cols);
+  core::oracle::int_matmul_wt(a, w, via_kernel, rows, k, cols);
   EXPECT_EQ(via_bim, via_kernel);
 }
 
@@ -147,7 +147,7 @@ TEST(BimMatmul, MatchesIntKernel8x8) {
   for (auto& v : w) v = static_cast<int8_t>(rng.randint(-128, 127));
   std::vector<int32_t> via_bim, via_kernel;
   bim_matmul_wt(b, BimMode::k8x8, a, w, via_bim, rows, k, cols);
-  core::int_matmul_wt(a, w, via_kernel, rows, k, cols);
+  core::oracle::int_matmul_wt(a, w, via_kernel, rows, k, cols);
   EXPECT_EQ(via_bim, via_kernel);
 }
 

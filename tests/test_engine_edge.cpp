@@ -110,9 +110,12 @@ TEST(EngineEdge, EightBitWeightsAlsoWork) {
       EXPECT_GE(c, -127);
       EXPECT_LE(c, 127);
     }
-    // 8-bit codes live in int16 resident storage and are NOT
-    // nibble-packed on the wire.
-    EXPECT_FALSE(layer.wq.narrow_storage());
+    // 8-bit codes live in the same int8 tiles as every bit-width
+    // (padded(out) x padded(in) bytes) and are NOT nibble-packed on
+    // the wire.
+    EXPECT_EQ(layer.wq.weight_bytes(),
+              static_cast<size_t>(padded_cols(layer.wq.out) *
+                                  padded_depth(layer.wq.in)));
     EXPECT_EQ(layer.wq.packed_weights().size(), codes.size());
   }
   EXPECT_TRUE(std::isfinite(e.forward(data[0])[0]));

@@ -1,18 +1,18 @@
-// Randomized bit-identity fuzz for the unified panel-kernel inference
-// path.
+// Randomized bit-identity fuzz for the engine's integer inference path.
 //
-// Since PR 2 every inference entry point — QuantLinear::forward_i8,
+// Every inference entry point — QuantLinear::forward_i8,
 // FqEncoderLayer::forward, FqBertModel::forward and forward_batch —
-// runs the 4-row panel kernel (int_matmul_wt_panel). The paper-
-// reference kernel int_matmul_wt survives purely as the oracle: this
-// suite re-implements the seed's scalar encoder path on top of it and
-// asserts the production path is bit-identical across every
-// rows % 4 remainder (row counts 1..9), ragged batch shapes, and both
-// int4 and int8 weight widths.
+// runs the tile GEMM (src/core/int_kernels.h). The scalar oracle in
+// fq_oracle.h re-implements the seed's encoder path over its own
+// kernels; this suite asserts the production path is bit-identical to
+// it across row counts 1..9 (every register-block remainder), ragged
+// batch shapes, and both int4 and int8 weights — once per kernel target
+// this CPU supports.
 #include <gtest/gtest.h>
 
 #include "core/fq_bert.h"
 #include "fq_oracle.h"
+#include "kernel_targets.h"
 #include "tensor/rng.h"
 
 namespace fqbert::core {
@@ -49,8 +49,8 @@ Example rand_example(Rng& rng, int64_t len, const BertConfig& config) {
 
 /// Calibrated engine over random weights (accuracy irrelevant; the
 /// integer pipeline is fully exercised).
-FqBertModel build_engine(int weight_bits, uint64_t seed) {
-  const BertConfig config = fuzz_config();
+FqBertModel build_engine(int weight_bits, uint64_t seed,
+                         const BertConfig& config = fuzz_config()) {
   Rng rng(seed);
   BertModel model(config, rng);
   FqQuantConfig qcfg = FqQuantConfig::full();
@@ -77,7 +77,7 @@ void expect_logits_eq(const Tensor& want, const Tensor& got,
 }
 
 // ---------------------------------------------------------------------------
-// QuantLinear: panel kernel vs oracle over every rows % 4 remainder
+// QuantLinear: tile GEMM vs oracle over every rows % 4 remainder
 // ---------------------------------------------------------------------------
 
 void fuzz_quant_linear(int weight_bits) {
@@ -102,21 +102,23 @@ void fuzz_quant_linear(int weight_bits) {
   }
 }
 
-TEST(ForwardFuzz, QuantLinearMatchesOracleInt4) { fuzz_quant_linear(4); }
-TEST(ForwardFuzz, QuantLinearMatchesOracleInt8) { fuzz_quant_linear(8); }
+class ForwardFuzz : public KernelTargetTest {};
+
+TEST_P(ForwardFuzz, QuantLinearMatchesOracleInt4) { fuzz_quant_linear(4); }
+TEST_P(ForwardFuzz, QuantLinearMatchesOracleInt8) { fuzz_quant_linear(8); }
 
 // ---------------------------------------------------------------------------
 // Full model: forward() and forward_batch() vs the scalar oracle
 // ---------------------------------------------------------------------------
 
-void fuzz_model(int weight_bits, uint64_t seed) {
-  const FqBertModel engine = build_engine(weight_bits, seed);
+void fuzz_model(int weight_bits, uint64_t seed,
+                const BertConfig& config = fuzz_config()) {
+  const FqBertModel engine = build_engine(weight_bits, seed, config);
   const OracleModel om(engine);
-  const BertConfig config = fuzz_config();
   Rng rng(seed * 13 + 5);
 
-  // Every sequence length 1..9 (each rows % 4 remainder of the panel
-  // kernel, including the sub-panel 1..3 cases) plus a few longer ones.
+  // Every sequence length 1..9 (each rows % 4 remainder of the register
+  // block, including the 1..3-row cases) plus a few longer ones.
   for (int64_t s_len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16}) {
     const Example ex = rand_example(rng, s_len, config);
     const Tensor want = oracle::oracle_forward(om, ex);
@@ -144,12 +146,23 @@ void fuzz_model(int weight_bits, uint64_t seed) {
   }
 }
 
-TEST(ForwardFuzz, ModelMatchesOracleInt4) { fuzz_model(4, 101); }
-TEST(ForwardFuzz, ModelMatchesOracleInt8) { fuzz_model(8, 202); }
+TEST_P(ForwardFuzz, ModelMatchesOracleInt4) { fuzz_model(4, 101); }
+TEST_P(ForwardFuzz, ModelMatchesOracleInt8) { fuzz_model(8, 202); }
+
+// Dimensions off the tile grid: every weight matrix and head carries
+// padding columns and a reduction tail.
+TEST_P(ForwardFuzz, UnalignedShapesMatchOracle) {
+  BertConfig c = fuzz_config();
+  c.hidden = 22;
+  c.num_heads = 2;  // head_dim 11
+  c.ffn_dim = 37;
+  fuzz_model(4, 505, c);
+  fuzz_model(8, 606, c);
+}
 
 // The layer-level entry point (used by the accelerator simulator) stays
 // bit-identical too.
-TEST(ForwardFuzz, EncoderLayerMatchesOracleAcrossRemainders) {
+TEST_P(ForwardFuzz, EncoderLayerMatchesOracleAcrossRemainders) {
   const FqBertModel engine = build_engine(4, 303);
   const BertConfig config = fuzz_config();
   const FqEncoderLayer& layer = engine.encoder_layers()[0];
@@ -165,6 +178,8 @@ TEST(ForwardFuzz, EncoderLayerMatchesOracleAcrossRemainders) {
     EXPECT_EQ(want, got) << "s_len " << rows;
   }
 }
+
+FQBERT_INSTANTIATE_KERNEL_TARGETS(ForwardFuzz);
 
 }  // namespace
 }  // namespace fqbert::core

@@ -214,8 +214,10 @@ TEST(FqEngine, WeightCodesWithinInt4Grid) {
         EXPECT_GE(c, -7);
         EXPECT_LE(c, 7);
       }
-      // int4 weights sit in 1-byte resident storage.
-      EXPECT_TRUE(ql->narrow_storage());
+      // int4 weights sit in 1-byte tiles: padded(out) x padded(in).
+      EXPECT_EQ(ql->weight_bytes(),
+                static_cast<size_t>(padded_cols(ql->out) *
+                                    padded_depth(ql->in)));
       // Packed form halves the byte count.
       EXPECT_EQ(ql->packed_weights().size(), (codes.size() + 1) / 2);
     }

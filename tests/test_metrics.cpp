@@ -238,8 +238,16 @@ TEST(MetricsText, RouterExpositionIsValidAndBalances) {
                                    build_version() + "\",git_sha=\"" +
                                    build_git_sha() + "\",compiler=\"" +
                                    build_compiler() + "\",sanitizer=\"" +
-                                   build_sanitizer() + "\"}"),
+                                   build_sanitizer() + "\",kernel=\"" +
+                                   build_kernel() + "\"}"),
             1.0);
+  // The kernel label names one of the two targets the engine can pick.
+  EXPECT_TRUE(std::string(build_kernel()) == "avx512_vnni" ||
+              std::string(build_kernel()) == "portable")
+      << build_kernel();
+  EXPECT_NE(build_info_string().find(std::string(" kernel=") +
+                                     build_kernel()),
+            std::string::npos);
 
   // Lanes scrape as (model, tier) rows; FqQuantConfig::full() engines
   // carry 4-bit weights, so the default lane scrapes as tier="4".

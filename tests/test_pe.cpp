@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/pe.h"
+#include "fq_oracle.h"
 #include "tensor/rng.h"
 
 namespace fqbert::accel {
@@ -45,7 +46,7 @@ TEST(Pu, MatmulBitExactAndCycleFormula) {
 
   std::vector<int32_t> got, want;
   const int64_t cycles = pu.matmul(a, w, got, rows, k, cols, BimMode::k8x4);
-  core::int_matmul_wt(a, w, want, rows, k, cols);
+  core::oracle::int_matmul_wt(a, w, want, rows, k, cols);
   EXPECT_EQ(got, want);
 
   // Tiles: per row ceil(20/8)=3; per tile max PE cycles = ceil(64/16)=4.
@@ -62,7 +63,7 @@ TEST(Pu, Mode8x8HalvesLanes) {
   for (auto& v : w) v = static_cast<int8_t>(rng.randint(-128, 127));
   std::vector<int32_t> got, want;
   const int64_t cycles = pu.matmul(a, w, got, rows, k, cols, BimMode::k8x8);
-  core::int_matmul_wt(a, w, want, rows, k, cols);
+  core::oracle::int_matmul_wt(a, w, want, rows, k, cols);
   EXPECT_EQ(got, want);
   // One tile per row (4 cols over 4 PEs), ceil(32/4)=8 cycles each.
   EXPECT_EQ(cycles, rows * 8);

@@ -5,11 +5,11 @@
 //    dedicated server loading that derived engine as-quantized from
 //    disk (derivation happens once, at registration — never per
 //    request);
-//  * an int4 derivation resides in <= ~half the weight bytes of its
-//    int8 parent;
-//  * mmap-loaded (FQBERT02) engines are bit-identical to their stream
+//  * every tier resides in exactly Σ padded(out)·padded(in) weight
+//    bytes (all bit-widths share one int8 tile layout);
+//  * mmap-loaded (FQBERT03) engines are bit-identical to their stream
 //    ancestors and survive a forward fuzz against the seed's scalar
-//    oracle;
+//    oracle, and a retired FQBERT02 file is refused by name;
 //  * one tier can be hot-minted and hot-unloaded over the wire while
 //    its SIBLING tier keeps serving, each lane's accounting balancing
 //    independently;
@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -123,17 +124,22 @@ TEST(PrecisionTiers, DeriveAtNativeWidthIsIdentity) {
   }
 }
 
-TEST(PrecisionTiers, Int4TierHalvesResidentWeightBytes) {
-  // The acceptance bound: the derived int4 tier must cost at most
-  // ~half the resident weight memory of its int8 parent. Both widths
-  // store int8 codes per element here (narrow storage kicks in at
-  // <= 4 bits, the parent's 8-bit codes need int16), so the ratio is
-  // exactly one half.
-  const FqBertModel int4 = int8_parent()->derive_tier(4);
-  const size_t parent_bytes = int8_parent()->resident_weight_bytes();
-  const size_t tier_bytes = int4.resident_weight_bytes();
-  ASSERT_GT(parent_bytes, 0u);
-  EXPECT_LE(tier_bytes * 2, parent_bytes);
+TEST(PrecisionTiers, ResidentWeightBytesArePaddedTiles) {
+  // Every tier stores the same int8 tiles, so every tier's resident
+  // weight bytes are exactly Σ padded(out)·padded(in) over its six
+  // linears per layer: the int8 parent costs what an int4 tier costs.
+  const FqBertModel& parent = *int8_parent();
+  size_t want = 0;
+  for (const core::FqEncoderLayer& l : parent.encoder_layers())
+    for (const core::QuantLinear* q : {&l.wq, &l.wk, &l.wv, &l.wo, &l.ffn1,
+                                       &l.ffn2})
+      want += static_cast<size_t>(core::padded_cols(q->out) *
+                                  core::padded_depth(q->in));
+  ASSERT_GT(want, 0u);
+  EXPECT_EQ(parent.resident_weight_bytes(), want);
+  for (const int bits : {2, 4, 6})
+    EXPECT_EQ(parent.derive_tier(bits).resident_weight_bytes(), want)
+        << "int" << bits;
 }
 
 TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
@@ -223,7 +229,7 @@ TEST(PrecisionTiers, StrictRejectsAndFallbackServesUnknownTier) {
 }
 
 // ---------------------------------------------------------------------------
-// FQBERT02 mmap engines: round trip, sniffing, oracle fuzz.
+// FQBERT03 mmap engines: round trip, sniffing, oracle fuzz.
 // ---------------------------------------------------------------------------
 
 TEST(MappedEngine, RoundTripBitIdenticalAndSniffed) {
@@ -299,6 +305,29 @@ TEST(MappedEngine, MappedForwardMatchesScalarOracleFuzz) {
     }
     std::remove(path.c_str());
   }
+}
+
+TEST(MappedEngine, RetiredFqbert02FileIsRefusedExplicitly) {
+  // An FQBERT02 file holds row-major int8/int16 weights; reading it as
+  // tiles would silently compute garbage, so both loaders refuse it by
+  // name.
+  const std::string path = ::testing::TempDir() + "tier_retired.bin";
+  ASSERT_TRUE(int8_parent()->save_mapped(path));
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(0);
+    f.write("FQBERT02", 8);
+  }
+  for (const auto& load : {&FqBertModel::load_mapped, &FqBertModel::load_any}) {
+    try {
+      (void)load(path);
+      ADD_FAILURE() << "an FQBERT02 file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("FQBERT02"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(MappedEngine, DeriveTierFromMappedEngine) {

@@ -1317,7 +1317,7 @@ int cmd_quantize(const Args& a) {
 
   std::printf("QAT fine-tuning (w%d/a%d)...\n", cfg.weight_bits, cfg.act_bits);
   core::FqBertModel engine = quantize_pipeline(model, task, cfg, fast);
-  // --mapped writes the FQBERT02 mmap layout (weights 64-byte aligned
+  // --mapped writes the FQBERT03 mmap layout (weight tiles 64-byte aligned
   // after the metadata), so serving loads it zero-copy and N server
   // processes share one physical copy of the weight pages.
   const bool ok = a.flag("mapped") ? engine.save_mapped(out)
