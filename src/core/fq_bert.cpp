@@ -110,12 +110,12 @@ void QuantLinear::set_codes(const std::vector<int8_t>& codes) {
   pack_tiles(codes.data(), in, 1, out, in, w_own.data(), w_corr.data());
 }
 
-void QuantLinear::map_tiles(const int8_t* view) {
+bool QuantLinear::map_tiles(const int8_t* view) {
   w_map = view;
   w_own.clear();
   w_own.shrink_to_fit();
   w_corr.resize(static_cast<size_t>(padded_cols(out)));
-  tile_corrections(view, out, in, w_corr.data());
+  return tile_corrections(view, out, in, w_corr.data());
 }
 
 std::vector<int8_t> QuantLinear::narrow_codes() const {

@@ -91,8 +91,8 @@ struct QuantLinear {
   void set_codes(const std::vector<int8_t>& codes);
 
   /// Point at packed tiles inside a mapped file and compute the
-  /// correction from them.
-  void map_tiles(const int8_t* tiles);
+  /// correction from them. Returns false when their padding is not zero.
+  bool map_tiles(const int8_t* tiles);
 
   /// The row-major [out, in] int8 weight codes, unpacked from the tiles.
   std::vector<int8_t> narrow_codes() const;

@@ -13,7 +13,8 @@
 //   bytes, see int_kernels.h) at 64-byte alignment, for every bit-width.
 //   load_mapped() mmaps the file read-only and points the engine's
 //   weight views straight into the mapping: loading is O(page faults)
-//   plus one read of the tiles for the column correction, and every
+//   plus one read of the tiles for the column correction (which also
+//   refuses a region whose padding bytes are not zero), and every
 //   process serving the same file shares one physical copy of the
 //   weight pages. FQBERT02 (the retired row-major int8/int16 region)
 //   is refused with an explicit error rather than misread.
@@ -461,7 +462,9 @@ FqBertModel FqBertModel::load_mapped(const std::string& path) {
       if (rel % kWeightAlign != 0 || rel > region_size ||
           q.weight_bytes() > region_size - static_cast<size_t>(rel))
         throw std::runtime_error("corrupt FQBERT03 engine file: " + path);
-      q.map_tiles(reinterpret_cast<const int8_t*>(base + weights_base + rel));
+      if (!q.map_tiles(
+              reinterpret_cast<const int8_t*>(base + weights_base + rel)))
+        throw std::runtime_error("corrupt FQBERT03 engine file: " + path);
       q.rq = quant::Requantizer::from_scale(q.out_scale /
                                             (q.in_scale * q.w_scale));
       *qp = std::move(q);

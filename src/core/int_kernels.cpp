@@ -16,6 +16,7 @@ void pack_tiles(const int8_t* src, int64_t row_stride, int64_t col_stride,
   const int64_t depth = padded_depth(k);
   const int64_t ncols = padded_cols(n);
   const int64_t kfull = k & ~(kTileDepth - 1);
+  assert(col_stride == 1 || corr == nullptr);
   if ((ncols != n || depth != k) && ncols * depth > 0)
     std::memset(tiles, 0, tile_bytes(n, k));
   // Byte (j, p) of column tile j0 sits at group p/4, lane j - j0, step
@@ -59,10 +60,6 @@ void pack_tiles(const int8_t* src, int64_t row_stride, int64_t col_stride,
               group[c * kTileDepth + q] = r0[q * col_stride + c * row_stride];
         }
       }
-      if (corr != nullptr)
-        for (int64_t c = 0; c < lanes; ++c)
-          for (int64_t p = 0; p < k; ++p)
-            sums[c] += src[(j0 + c) * row_stride + p * col_stride];
     }
     if (corr != nullptr)
       for (int64_t c = 0; c < kTileCols; ++c) corr[j0 + c] = 128 * sums[c];
@@ -85,10 +82,10 @@ void unpack_tiles(const int8_t* tiles, int64_t n, int64_t k, int8_t* dst) {
   }
 }
 
-void tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
+bool tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
                       int32_t* corr) {
   // The tiles are [column tile][group][lane][step]: one sequential walk
-  // adds every byte to its lane's column. Padding bytes are zero.
+  // adds every byte to its lane's column.
   const int64_t depth = padded_depth(k);
   const int64_t ncols = padded_cols(n);
   const int8_t* s = tiles;
@@ -99,6 +96,23 @@ void tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
         sums[c] += s[0] + s[1] + s[2] + s[3];
     for (int64_t c = 0; c < kTileCols; ++c) corr[j0 + c] = 128 * sums[c];
   }
+  // The padding must be zero: only then do the sums above, and every
+  // target's product, see exactly the n x k codes. Padding columns fill
+  // the last column tile; padding steps end each column's last group.
+  int8_t pad = 0;
+  const int64_t last_tile = ncols - kTileCols;
+  for (int64_t j = n; j < ncols; ++j)
+    for (int64_t p = 0; p < depth; ++p)
+      pad |= tiles[last_tile * depth + (p / kTileDepth) * kTileBytes +
+                   (j - last_tile) * kTileDepth + p % kTileDepth];
+  if (depth != k)
+    for (int64_t j = 0; j < n; ++j) {
+      const int8_t* group = tiles + (j / kTileCols) * kTileCols * depth +
+                            (depth - kTileDepth) * kTileCols +
+                            (j % kTileCols) * kTileDepth;
+      for (int64_t q = k % kTileDepth; q < kTileDepth; ++q) pad |= group[q];
+    }
+  return pad == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -107,19 +121,24 @@ void tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
 
 namespace {
 
-/// s[2r + l] = Σ_p a_r[p] · w_l[p] for R rows (row stride k) and two
+constexpr int64_t kWideStep = 16;  // int16 operand lengths are multiples
+
+/// s[2r + l] = Σ_p a_r[p] · w_l[p] for R rows (row stride kp) and two
 /// weight lanes: every weight load feeds R rows and every activation
-/// load two lanes. The contiguous int16 operands let the compiler turn
-/// the reduction into widening multiply-adds.
+/// load two lanes. Masking kp shows the compiler a trip count that is a
+/// multiple of 16, so it vectorizes the reduction into widening
+/// multiply-adds with no scalar tail, at -O2 as well as -O3.
 template <int R>
-void reduce_block(const int16_t* a, int64_t k, const int16_t* w0,
+void reduce_block(const int16_t* a, int64_t kp, const int16_t* w0,
                   const int16_t* w1, int32_t* s) {
+  const int64_t len = kp & ~(kWideStep - 1);
   int32_t acc[R][2] = {};
-  for (int64_t p = 0; p < k; ++p) {
+  for (int64_t p = 0; p < len; ++p) {
     const int32_t w0v = w0[p], w1v = w1[p];
+    FQBERT_UNROLL
     for (int r = 0; r < R; ++r) {
-      acc[r][0] += a[r * k + p] * w0v;
-      acc[r][1] += a[r * k + p] * w1v;
+      acc[r][0] += a[r * kp + p] * w0v;
+      acc[r][1] += a[r * kp + p] * w1v;
     }
   }
   for (int r = 0; r < R; ++r) {
@@ -135,47 +154,43 @@ constexpr void (*kReduceBlock[4])(const int16_t*, int64_t, const int16_t*,
 void gemm_portable(const int8_t* a, int64_t lda, int64_t m, int64_t k,
                    const int8_t* tiles, const int32_t* corr, int64_t n,
                    int32_t* c, int64_t ldc) {
-  // The VNNI contract in plain C++. Σ u8(a XOR 0x80)·w − corr equals
-  // Σ a·w + (128·Σw − corr), so the rows are widened once into int16,
-  // each tile column once into 16 contiguous int16 lanes, and the
-  // signed products reduce over those.
-  static thread_local std::vector<int16_t> wide_a, wide_w;
-  wide_a.resize(static_cast<size_t>(m * k));
-  wide_w.resize(static_cast<size_t>(kTileCols * k));
-  for (int64_t i = 0; i < m; ++i)
-    for (int64_t p = 0; p < k; ++p) wide_a[i * k + p] = a[i * lda + p];
-
+  // The contract over int16 copies, zero-padded to a multiple of 16:
+  // the rows once per call as u8(a XOR 0x80), and each column tile once,
+  // lane-major, so every reduction runs over contiguous operands.
+  const int64_t kp = (k + kWideStep - 1) / kWideStep * kWideStep;
   const int64_t depth = padded_depth(k);
+  static thread_local std::vector<int16_t> wide_a, wide_w;
+  wide_a.resize(static_cast<size_t>(m * kp));
+  wide_w.resize(static_cast<size_t>(kTileCols * kp));
+  for (int64_t i = 0; i < m; ++i) {
+    const int8_t* row = a + i * lda;
+    int16_t* d = wide_a.data() + i * kp;
+    for (int64_t p = 0; p < k; ++p) d[p] = static_cast<uint8_t>(row[p] ^ 0x80);
+    for (int64_t p = k; p < kp; ++p) d[p] = 0;
+  }
+
   for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
     const int64_t lanes = n - j0 < kTileCols ? n - j0 : kTileCols;
     const int8_t* t = tiles + j0 * depth;
-    const int64_t kfull = k & ~(kTileDepth - 1);
-    int64_t p0 = 0;
-    for (; p0 < kfull; p0 += kTileDepth, t += kTileBytes)
+    for (int64_t p0 = 0; p0 < depth; p0 += kTileDepth, t += kTileBytes)
       for (int64_t l = 0; l < kTileCols; ++l)
         for (int64_t q = 0; q < kTileDepth; ++q)
-          wide_w[l * k + p0 + q] = t[l * kTileDepth + q];
-    for (int64_t l = 0; p0 < k && l < kTileCols; ++l)
-      for (int64_t q = 0; p0 + q < k; ++q)
-        wide_w[l * k + p0 + q] = t[l * kTileDepth + q];
-    int32_t adj[kTileCols] = {};
-    for (int64_t l = 0; l < lanes; ++l) {
-      int32_t sum = 0;
-      for (int64_t p = 0; p < k; ++p) sum += wide_w[l * k + p];
-      adj[l] = 128 * sum - (corr != nullptr ? corr[j0 + l] : 0);
-    }
+          wide_w[l * kp + p0 + q] = t[l * kTileDepth + q];
+    for (int64_t l = 0; l < kTileCols; ++l)
+      for (int64_t p = depth; p < kp; ++p) wide_w[l * kp + p] = 0;
 
     for (int64_t i0 = 0; i0 < m; i0 += 4) {
       const int64_t rows = m - i0 < 4 ? m - i0 : 4;
-      const int16_t* ab = wide_a.data() + i0 * k;
       for (int64_t l = 0; l < lanes; l += 2) {
-        const int16_t* w0 = wide_w.data() + l * k;
         int32_t s[8];
-        kReduceBlock[rows - 1](ab, k, w0, w0 + k, s);
+        kReduceBlock[rows - 1](wide_a.data() + i0 * kp, kp,
+                               wide_w.data() + l * kp,
+                               wide_w.data() + (l + 1) * kp, s);
         for (int64_t r = 0; r < rows; ++r) {
           int32_t* crow = c + (i0 + r) * ldc + j0 + l;
-          crow[0] = s[2 * r] + adj[l];
-          if (l + 1 < lanes) crow[1] = s[2 * r + 1] + adj[l + 1];
+          crow[0] = s[2 * r] - (corr != nullptr ? corr[j0 + l] : 0);
+          if (l + 1 < lanes)
+            crow[1] = s[2 * r + 1] - (corr != nullptr ? corr[j0 + l + 1] : 0);
         }
       }
     }
@@ -205,12 +220,15 @@ struct Ops {
   kernels::RequantFn requant;
 };
 
-constexpr Ops kPortableOps{&gemm_portable, &requant_portable};
-constexpr Ops kVnniOps{&kernels::gemm_vnni, &kernels::requant_vnni};
+// Indexed by KernelTarget. AVX2 keeps the portable requantizer: it has
+// no 64-bit multiply, and requant is a small share next to the GEMM.
+constexpr Ops kOps[] = {
+    {&gemm_portable, &requant_portable},
+    {&kernels::gemm_avx2, &requant_portable},
+    {&kernels::gemm_vnni, &kernels::requant_vnni},
+};
 
-const Ops& ops_of(KernelTarget t) {
-  return t == KernelTarget::kAvx512Vnni ? kVnniOps : kPortableOps;
-}
+const Ops& ops_of(KernelTarget t) { return kOps[static_cast<int>(t)]; }
 
 thread_local const Ops* t_override = nullptr;
 
@@ -226,13 +244,22 @@ const Ops& active_ops() {
 // ---------------------------------------------------------------------------
 
 const char* kernel_target_name(KernelTarget t) {
-  return t == KernelTarget::kAvx512Vnni ? "avx512_vnni" : "portable";
+  switch (t) {
+    case KernelTarget::kAvx512Vnni:
+      return "avx512_vnni";
+    case KernelTarget::kAvx2:
+      return "avx2";
+    case KernelTarget::kPortable:
+      break;
+  }
+  return "portable";
 }
 
 bool kernel_target_supported(KernelTarget t) {
   if (t == KernelTarget::kPortable) return true;
 #if defined(__x86_64__)
   __builtin_cpu_init();
+  if (t == KernelTarget::kAvx2) return __builtin_cpu_supports("avx2");
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512bw") &&
          __builtin_cpu_supports("avx512dq") &&
@@ -244,10 +271,12 @@ bool kernel_target_supported(KernelTarget t) {
 }
 
 KernelTarget startup_kernel_target() {
-  static const KernelTarget target =
-      kernel_target_supported(KernelTarget::kAvx512Vnni)
-          ? KernelTarget::kAvx512Vnni
-          : KernelTarget::kPortable;
+  static const KernelTarget target = [] {
+    for (const KernelTarget t :
+         {KernelTarget::kAvx512Vnni, KernelTarget::kAvx2})
+      if (kernel_target_supported(t)) return t;
+    return KernelTarget::kPortable;
+  }();
   return target;
 }
 

@@ -20,8 +20,9 @@
 // subtracts a per-column correction, so with corr[j] = 128·Σ_p B[j,p]
 // it returns the exact signed product. That is an integer identity:
 // every target is bit-identical to the scalar oracle in
-// tests/fq_oracle.h. The target (AVX-512 VNNI or portable C++ over the
-// same tiles) is chosen once at startup from the CPU's feature bits.
+// tests/fq_oracle.h. The target (AVX-512 VNNI, AVX2, or portable C++,
+// all over the same tiles) is chosen once at startup from the CPU's
+// feature bits.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +52,9 @@ inline size_t tile_bytes(int64_t n, int64_t k) {
 /// Pack B[n, k] into tiles (tile_bytes(n, k) bytes, padding zeroed).
 /// Element (j, p) is read from src[j * row_stride + p * col_stride], so
 /// one routine packs a row-major weight matrix (row_stride k,
-/// col_stride 1), a strided K head, or a transposed V head. When corr is
-/// non-null it receives padded_cols(n) entries of 128·Σ_p B[j, p]
-/// (0 for padding columns).
+/// col_stride 1), a strided K head, or a transposed V head. corr, which
+/// must be null unless col_stride is 1 (PV needs none), receives
+/// padded_cols(n) entries of 128·Σ_p B[j, p] (0 for padding columns).
 void pack_tiles(const int8_t* src, int64_t row_stride, int64_t col_stride,
                 int64_t n, int64_t k, int8_t* tiles, int32_t* corr);
 
@@ -61,12 +62,14 @@ void pack_tiles(const int8_t* src, int64_t row_stride, int64_t col_stride,
 void unpack_tiles(const int8_t* tiles, int64_t n, int64_t k, int8_t* dst);
 
 /// corr[j] = 128·Σ_p B[j, p] over already packed tiles (padded_cols(n)
-/// entries): the correction of a mapped weight region.
-void tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
+/// entries): the correction of a mapped weight region. Returns false,
+/// leaving corr meaningless, when a padding byte is not zero.
+bool tile_corrections(const int8_t* tiles, int64_t n, int64_t k,
                       int32_t* corr);
 
 /// c[i * ldc + j] = Σ_p u8(a[i * lda + p] XOR 0x80) · B[j, p] − corr[j]
-/// for i < m, j < n, in exact int32 (corr null means all zero). With
+/// for i < m, j < n, in exact int32 (corr holds padded_cols(n) entries,
+/// or is null for all zero). With
 /// pack_tiles' correction this is Σ_p a · B; PV instead passes p − 128
 /// codes with no correction to multiply by unsigned probabilities.
 void gemm_tiles(const int8_t* a, int64_t lda, int64_t m, int64_t k,

@@ -19,14 +19,6 @@
 #define FQBERT_VNNI \
   __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,avx512vnni")))
 
-// Register blocks are arrays of zmm indexed by loop counters (trip
-// counts <= 4): full unrolling keeps them in registers.
-#if defined(__clang__)
-#define FQBERT_UNROLL _Pragma("unroll")
-#else
-#define FQBERT_UNROLL _Pragma("GCC unroll 4")
-#endif
-
 namespace fqbert::core::kernels {
 
 namespace {

@@ -27,8 +27,8 @@ const char* build_compiler();
 /// Sanitizer baked into this binary: "address", "thread", or "none".
 const char* build_sanitizer();
 
-/// Integer kernel target the engine runs on this CPU: "avx512_vnni" or
-/// "portable".
+/// Integer kernel target the engine runs on this CPU: "avx512_vnni",
+/// "avx2" or "portable".
 const char* build_kernel();
 
 /// One-line summary, identical wording in the crash dump and logs:

@@ -238,7 +238,7 @@ TEST(TilePacking, RoundTripAndCorrection) {
       ASSERT_EQ(w, back) << "n " << n << " k " << k;
 
       std::vector<int32_t> from_tiles(corr.size());
-      tile_corrections(tiles.data(), n, k, from_tiles.data());
+      EXPECT_TRUE(tile_corrections(tiles.data(), n, k, from_tiles.data()));
       EXPECT_EQ(corr, from_tiles);
       for (int64_t j = 0; j < padded_cols(n); ++j) {
         int32_t sum = 0;  // padding columns sum to 0
@@ -253,6 +253,36 @@ TEST(TilePacking, RoundTripAndCorrection) {
       for (const int8_t c : w) nonzero_codes += c != 0;
       EXPECT_EQ(nonzero_bytes, nonzero_codes) << "padding not zero";
     }
+}
+
+TEST(TilePacking, NonzeroPaddingIsReported) {
+  // Every target reads whole tiles, so a padding byte that is not zero
+  // would enter the product. Both padding columns (n = 18 leaves 14 in
+  // the second column tile) and padding steps (k = 9 leaves 3 in each
+  // column's last group) are checked.
+  Rng rng(6);
+  const int64_t n = 18, k = 9;
+  const auto w = random_codes(rng, static_cast<size_t>(n * k), -127, 127);
+  std::vector<int8_t> tiles(tile_bytes(n, k));
+  std::vector<int32_t> corr(static_cast<size_t>(padded_cols(n)));
+  pack_tiles(w.data(), k, 1, n, k, tiles.data(), corr.data());
+  ASSERT_TRUE(tile_corrections(tiles.data(), n, k, corr.data()));
+
+  const int64_t depth = padded_depth(k);
+  const int64_t last_group = (depth - kTileDepth) * kTileCols;
+  const int64_t pad_column =
+      kTileCols * depth + 2 * kTileBytes + 5 * kTileDepth + 1;  // j 21
+  const int64_t pad_step = last_group + 3 * kTileDepth + 2;  // j 3, p 10
+  for (const int64_t at : {pad_column, pad_step}) {
+    std::vector<int8_t> bad = tiles;
+    bad[static_cast<size_t>(at)] = -1;
+    EXPECT_FALSE(tile_corrections(bad.data(), n, k, corr.data()))
+        << "byte " << at;
+  }
+  // A real code in the last group is not padding.
+  std::vector<int8_t> edited = tiles;
+  edited[static_cast<size_t>(last_group + 3 * kTileDepth)] ^= 1;  // j 3, p 8
+  EXPECT_TRUE(tile_corrections(edited.data(), n, k, corr.data()));
 }
 
 TEST(TilePacking, TransposedPackReadsColumns) {
@@ -287,9 +317,10 @@ TEST(TilePacking, QuantLinearCodesRoundTrip) {
 }
 
 TEST(KernelSelection, StartupPicksBestSupportedTarget) {
-  const KernelTarget want = kernel_target_supported(KernelTarget::kAvx512Vnni)
-                                ? KernelTarget::kAvx512Vnni
-                                : KernelTarget::kPortable;
+  KernelTarget want = KernelTarget::kPortable;
+  if (kernel_target_supported(KernelTarget::kAvx2)) want = KernelTarget::kAvx2;
+  if (kernel_target_supported(KernelTarget::kAvx512Vnni))
+    want = KernelTarget::kAvx512Vnni;
   EXPECT_EQ(startup_kernel_target(), want);
   EXPECT_STREQ(kernel_name(), kernel_target_name(want));
   EXPECT_TRUE(kernel_target_supported(KernelTarget::kPortable));

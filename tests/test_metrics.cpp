@@ -241,8 +241,9 @@ TEST(MetricsText, RouterExpositionIsValidAndBalances) {
                                    build_sanitizer() + "\",kernel=\"" +
                                    build_kernel() + "\"}"),
             1.0);
-  // The kernel label names one of the two targets the engine can pick.
+  // The kernel label names one of the targets the engine can pick.
   EXPECT_TRUE(std::string(build_kernel()) == "avx512_vnni" ||
+              std::string(build_kernel()) == "avx2" ||
               std::string(build_kernel()) == "portable")
       << build_kernel();
   EXPECT_NE(build_info_string().find(std::string(" kernel=") +

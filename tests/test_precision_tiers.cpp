@@ -9,7 +9,8 @@
 //    bytes (all bit-widths share one int8 tile layout);
 //  * mmap-loaded (FQBERT03) engines are bit-identical to their stream
 //    ancestors and survive a forward fuzz against the seed's scalar
-//    oracle, and a retired FQBERT02 file is refused by name;
+//    oracle, a retired FQBERT02 file is refused by name, and one whose
+//    tile padding is not zero is refused as corrupt;
 //  * one tier can be hot-minted and hot-unloaded over the wire while
 //    its SIBLING tier keeps serving, each lane's accounting balancing
 //    independently;
@@ -325,6 +326,54 @@ TEST(MappedEngine, RetiredFqbert02FileIsRefusedExplicitly) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("FQBERT02"), std::string::npos)
           << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MappedEngine, NonzeroTilePaddingIsRefused) {
+  // Off-grid dims give the tiles padding: wq is [18, 18], so column
+  // tile 1 holds 14 padding columns and each column's last group 2
+  // padding steps. A nonzero padding byte would enter the product, so
+  // the load refuses the file instead.
+  BertConfig shape = tier_shape();
+  shape.hidden = 18;
+  shape.num_heads = 2;
+  shape.ffn_dim = 37;
+  const FqBertModel engine = build_engine(shape, 8, 5100);
+  const std::string path = ::testing::TempDir() + "tier_bad_padding.bin";
+  ASSERT_TRUE(engine.save_mapped(path));
+  (void)FqBertModel::load_mapped(path);  // the saved file itself is fine
+
+  uint64_t weights_base = 0;
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(8);
+    f.read(reinterpret_cast<char*>(&weights_base), sizeof(weights_base));
+  }
+  // Layer 0's wq is the first tile blob of the region.
+  const int64_t depth = core::padded_depth(18);  // 20
+  const int64_t pad_column =
+      core::kTileCols * depth + 2 * core::kTileDepth;  // column 18, step 0
+  const int64_t pad_step =
+      (depth - core::kTileDepth) * core::kTileCols + 2;  // column 0, step 18
+  for (const int64_t at : {pad_column, pad_step}) {
+    ASSERT_TRUE(engine.save_mapped(path));
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(static_cast<std::streamoff>(weights_base) + at);
+      f.put(1);
+    }
+    for (const auto& load :
+         {&FqBertModel::load_mapped, &FqBertModel::load_any}) {
+      try {
+        (void)load(path);
+        ADD_FAILURE() << "nonzero padding at byte " << at << " loaded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt FQBERT03"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
   std::remove(path.c_str());
