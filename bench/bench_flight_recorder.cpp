@@ -58,15 +58,9 @@ double record_burst_ns(size_t iters) {
 double serve_p50_ms(serve::EngineRegistry& registry,
                     const nn::BertConfig& mcfg,
                     const serve::LoadgenConfig& lcfg) {
-  // max_wait = 0: flush whatever is queued. A real hold-back timer
-  // makes the latency distribution bimodal around the flush boundary —
-  // a microsecond-level perturbation flips requests across it and moves
-  // the p50 by whole percents, which would drown the effect this bench
-  // is actually bounding.
   serve::ServerConfig scfg;
   scfg.num_workers = 2;
   scfg.batcher.max_batch = 8;
-  scfg.batcher.max_wait = serve::Micros(0);
   serve::InferenceServer server(registry, "bench", scfg);
   server.start();
   const serve::LoadgenReport report = serve::run_loadgen(server, mcfg, lcfg);

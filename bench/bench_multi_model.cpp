@@ -20,7 +20,6 @@ namespace {
 
 using namespace fqbert;
 using namespace fqbert::bench;
-using serve::Micros;
 
 struct ModelSpec {
   std::string name;
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
 
   serve::BatcherConfig batcher;
   batcher.max_batch = 8;
-  batcher.max_wait = Micros(200);
 
   // -------------------------------------------------------------------
   // Setup A: K dedicated single-model servers, 1 worker each.
@@ -205,10 +203,9 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------
   print_rule();
   std::printf("%zu models x %d requests, %d closed-loop clients per model, "
-              "batch %lld, max_wait %lld us (hw threads: %u)\n",
+              "batch %lld (hw threads: %u)\n",
               K, per_model, kClientsPerModel,
               static_cast<long long>(batcher.max_batch),
-              static_cast<long long>(batcher.max_wait.count()),
               std::thread::hardware_concurrency());
   print_rule();
   std::printf("%-14s %-26s %-26s\n", "", "K dedicated servers",

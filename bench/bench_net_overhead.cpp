@@ -21,7 +21,6 @@ namespace {
 
 using namespace fqbert;
 using namespace fqbert::bench;
-using serve::Micros;
 
 struct LatencyStats {
   double p50_us = 0, p99_us = 0, mean_us = 0, rps = 0;
@@ -71,13 +70,9 @@ int main(int argc, char** argv) {
   const std::vector<nn::Example> workload =
       make_workload(mcfg, requests, 1234);
 
-  // Immediate flush: a single closed-loop client would otherwise pay
-  // max_wait on every request in BOTH paths, drowning the wire cost
-  // this bench isolates.
   serve::RouterConfig rcfg;
   rcfg.num_workers = 1;
   rcfg.batcher.max_batch = 8;
-  rcfg.batcher.max_wait = Micros(0);
 
   serve::ModelRouter router(registry, rcfg);
   if (!router.add_model("bench")) return 1;
@@ -89,7 +84,7 @@ int main(int argc, char** argv) {
 
   print_rule();
   std::printf("closed-loop single client, %d requests, seq mix 12/16/24, "
-              "1 worker, max_wait 0\n",
+              "1 worker\n",
               requests);
 
   // Warm up both paths (engine scratch, connection, caches).

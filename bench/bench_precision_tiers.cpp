@@ -34,7 +34,6 @@ namespace {
 
 using namespace fqbert;
 using namespace fqbert::bench;
-using serve::Micros;
 
 struct Pct {
   double p50_ms = 0, p95_ms = 0;
@@ -212,7 +211,6 @@ int main(int argc, char** argv) {
   serve::RouterConfig rcfg;
   rcfg.num_workers = 2;
   rcfg.batcher.max_batch = 8;
-  rcfg.batcher.max_wait = Micros(200);
   serve::ModelRouter router(registry, rcfg);
   if (!router.add_model("sst2") || !router.start()) return 1;
 

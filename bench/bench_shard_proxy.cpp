@@ -60,7 +60,6 @@ struct BackendHost {
     serve::RouterConfig rcfg;
     rcfg.num_workers = 1;
     rcfg.batcher.max_batch = 8;
-    rcfg.batcher.max_wait = Micros(0);
     router = std::make_unique<serve::ModelRouter>(registry, rcfg);
     for (const auto& [name, engine] : models) {
       registry.register_model(name, engine);
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
   serve::RouterConfig rcfg;
   rcfg.num_workers = 1;
   rcfg.batcher.max_batch = 8;
-  rcfg.batcher.max_wait = Micros(0);
   serve::ModelRouter reference(ref_registry, rcfg);
   reference.add_model("m0");
   reference.add_model("m1");

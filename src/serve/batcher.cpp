@@ -1,11 +1,28 @@
 #include "serve/batcher.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "serve/flight_recorder.h"
 
 namespace fqbert::serve {
+
+namespace {
+
+/// Resolve a request that never reached an engine; returns its age.
+int64_t resolve_unserved(ServeRequest& req, RequestStatus status,
+                         TimePoint now) {
+  ServeResponse resp;
+  resp.request_id = req.id;
+  resp.tier = req.tier;
+  resp.status = status;
+  resp.latency_us =
+      std::chrono::duration_cast<Micros>(now - req.enqueue_time).count();
+  const int64_t age_us = resp.latency_us;
+  req.promise.set_value(std::move(resp));
+  return age_us;
+}
+
+}  // namespace
 
 void DynamicBatcher::set_event_tag(std::string_view model, uint8_t tier) {
   const size_t n = std::min(model.size(), sizeof(event_tag_) - 1);
@@ -15,127 +32,12 @@ void DynamicBatcher::set_event_tag(std::string_view model, uint8_t tier) {
   event_tier_ = tier;
 }
 
-int64_t DynamicBatcher::bucket_of(int64_t seq_len) const {
-  const int64_t g = std::max<int64_t>(1, cfg_.bucket_granularity);
-  return (seq_len + g - 1) / g * g;
-}
-
-size_t DynamicBatcher::pending() const {
-  MutexLock lock(mu_);
-  return pending_;
-}
-
-void DynamicBatcher::pump_locked() {
-  std::vector<ServeRequest> incoming;
-  queue_.drain_into(incoming);
-  const TimePoint now = Clock::now();
-  for (ServeRequest& req : incoming) {
-    if (req.expired(now)) {
-      ServeResponse resp;
-      resp.request_id = req.id;
-      resp.tier = req.tier;
-      resp.status = RequestStatus::kTimedOut;
-      resp.latency_us = std::chrono::duration_cast<Micros>(
-                            now - req.enqueue_time)
-                            .count();
-      const uint64_t age_us = static_cast<uint64_t>(resp.latency_us);
-      req.promise.set_value(std::move(resp));
-      if (stats_) stats_->record_timeout();
-      FlightRecorder::instance().record(
-          FlightEventType::kRequestTimedOut, event_tag_, req.trace_id,
-          req.tier, 0, 0, age_us);
-      continue;
-    }
-    buckets_[bucket_of(req.seq_len())].push_back(std::move(req));
-    ++pending_;
-  }
-}
-
-bool DynamicBatcher::pop_batch_locked(std::vector<ServeRequest>& out,
-                                      TimePoint now, bool force,
-                                      TimePoint* next_flush) {
-  // A chosen bucket can drain entirely through expired deadlines, so
-  // keep reselecting until a non-empty batch forms or nothing is due.
-  for (;;) {
-    *next_flush = TimePoint::max();
-
-    // Priority 1: the bucket holding the globally oldest request, when
-    // that request has exhausted its max_wait (or we are draining) —
-    // checked before any full bucket so a minority-length request can
-    // never starve behind a steady stream of popular lengths.
-    // Priority 2: a full bucket (oldest front wins among full ones).
-    auto chosen = buckets_.end();
-    auto full = buckets_.end();
-    auto oldest = buckets_.end();
-    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
-      if (it->second.empty()) continue;
-      const TimePoint front_t = it->second.front().enqueue_time;
-      if (static_cast<int64_t>(it->second.size()) >= cfg_.max_batch &&
-          (full == buckets_.end() ||
-           front_t < full->second.front().enqueue_time))
-        full = it;
-      if (oldest == buckets_.end() ||
-          front_t < oldest->second.front().enqueue_time)
-        oldest = it;
-    }
-    if (oldest != buckets_.end()) {
-      const TimePoint flush_at =
-          oldest->second.front().enqueue_time + cfg_.max_wait;
-      if (force || flush_at <= now) {
-        chosen = oldest;
-      } else {
-        chosen = full;
-        if (chosen == buckets_.end()) *next_flush = flush_at;
-      }
-    }
-    if (chosen == buckets_.end()) return false;
-
-    const int64_t bucket_key = chosen->first;
-    std::deque<ServeRequest>& bucket = chosen->second;
-    while (!bucket.empty() &&
-           static_cast<int64_t>(out.size()) < cfg_.max_batch) {
-      ServeRequest req = std::move(bucket.front());
-      bucket.pop_front();
-      --pending_;
-      if (req.expired(now)) {
-        ServeResponse resp;
-        resp.request_id = req.id;
-        resp.tier = req.tier;
-        resp.status = RequestStatus::kTimedOut;
-        resp.latency_us = std::chrono::duration_cast<Micros>(
-                              now - req.enqueue_time)
-                              .count();
-        const uint64_t age_us = static_cast<uint64_t>(resp.latency_us);
-        req.promise.set_value(std::move(resp));
-        if (stats_) stats_->record_timeout();
-        FlightRecorder::instance().record(
-            FlightEventType::kRequestTimedOut, event_tag_, req.trace_id,
-            req.tier, 0, 0, age_us);
-        continue;
-      }
-      out.push_back(std::move(req));
-    }
-    if (bucket.empty()) buckets_.erase(chosen);
-    if (!out.empty()) {
-      // Journal the formed batch: size, bucket, and how long its oldest
-      // request waited — the numbers a p99 postmortem starts from.
-      uint64_t trace = 0;
-      for (const ServeRequest& r : out)
-        if (r.trace_id != 0) {
-          trace = r.trace_id;
-          break;
-        }
-      const int64_t wait_us = std::chrono::duration_cast<Micros>(
-                                  now - out.front().enqueue_time)
-                                  .count();
-      FlightRecorder::instance().record(
-          FlightEventType::kBatchFormed, event_tag_, trace, event_tier_,
-          static_cast<uint16_t>(std::min<int64_t>(bucket_key, 0xFFFF)),
-          static_cast<uint32_t>(out.size()),
-          static_cast<uint64_t>(std::max<int64_t>(wait_us, 0)));
-      return true;
-    }
-  }
+void DynamicBatcher::time_out(ServeRequest& req, TimePoint now) {
+  const int64_t age_us = resolve_unserved(req, RequestStatus::kTimedOut, now);
+  if (stats_) stats_->record_timeout();
+  FlightRecorder::instance().record(FlightEventType::kRequestTimedOut,
+                                    event_tag_, req.trace_id, req.tier, 0,
+                                    0, static_cast<uint64_t>(age_us));
 }
 
 void DynamicBatcher::abort() {
@@ -144,68 +46,61 @@ void DynamicBatcher::abort() {
 }
 
 bool DynamicBatcher::next_batch(std::vector<ServeRequest>& out) {
-  out.clear();
   for (;;) {
-    // Read the closed flag *before* pumping: anything admitted before
-    // close() is visible to the pump below, so a true value here plus
-    // an empty pump means fully drained.
-    const bool closed = queue_.closed();
-    TimePoint next_flush = TimePoint::max();
-    {
-      MutexLock lock(mu_);
-      // Aborting: pending work is fail_pending's to resolve, not ours.
-      if (aborted_) return false;
-      pump_locked();
-      if (pop_batch_locked(out, Clock::now(), /*force=*/closed,
-                           &next_flush))
-        return true;
-      if (closed && pending_ == 0) return false;
-    }
-    // Nothing ready: sleep until new work arrives or the earliest
-    // max-wait flush comes due (bounded so a closed-flag race can
-    // never park a worker forever).
-    const TimePoint cap = Clock::now() + std::chrono::milliseconds(50);
-    queue_.wait_until(std::min(next_flush, cap));
+    const Poll poll = poll_batch(out);
+    if (poll != Poll::kIdle) return poll == Poll::kBatch;
+    // Nothing queued: park until a submit or close() wakes us (bounded
+    // so an abort() without a close() can never park a worker forever).
+    queue_.wait_until(Clock::now() + std::chrono::milliseconds(50));
   }
 }
 
 DynamicBatcher::Poll DynamicBatcher::poll_batch(
-    std::vector<ServeRequest>& out, TimePoint* next_flush) {
+    std::vector<ServeRequest>& out) {
   out.clear();
-  *next_flush = TimePoint::max();
-  // Same closed-before-pump ordering as next_batch: anything admitted
-  // before close() is visible to the pump, so closed + empty pump means
-  // fully drained.
-  const bool closed = queue_.closed();
-  MutexLock lock(mu_);
-  if (aborted_) return Poll::kDrained;  // fail_pending owns the rest
-  pump_locked();
-  if (pop_batch_locked(out, Clock::now(), /*force=*/closed, next_flush))
-    return Poll::kBatch;
-  return closed && pending_ == 0 ? Poll::kDrained : Poll::kIdle;
+  std::vector<ServeRequest> expired;
+  const TimePoint now = Clock::now();
+  bool open = true;
+  {
+    MutexLock lock(mu_);
+    // Aborting: queued work is fail_pending's to resolve, not ours.
+    if (aborted_) return Poll::kDrained;
+    const size_t share = (queue_.size() + workers_ - 1) / workers_;
+    open = queue_.pop(out, std::clamp<size_t>(share, 1, max_batch_), now,
+                      expired);
+  }
+  for (ServeRequest& req : expired) time_out(req, now);
+  if (out.empty()) return open ? Poll::kIdle : Poll::kDrained;
+
+  // Journal the formed batch: size, longest sequence, and how long its
+  // oldest request waited — the numbers a p99 postmortem starts from.
+  uint64_t trace = 0;
+  int64_t longest = 0;
+  for (const ServeRequest& r : out) {
+    if (trace == 0) trace = r.trace_id;
+    longest = std::max(longest, r.seq_len());
+  }
+  const int64_t wait_us =
+      std::chrono::duration_cast<Micros>(now - out.front().enqueue_time)
+          .count();
+  FlightRecorder::instance().record(
+      FlightEventType::kBatchFormed, event_tag_, trace, event_tier_,
+      static_cast<uint16_t>(std::min<int64_t>(longest, 0xFFFF)),
+      static_cast<uint32_t>(out.size()),
+      static_cast<uint64_t>(std::max<int64_t>(wait_us, 0)));
+  return Poll::kBatch;
 }
 
 void DynamicBatcher::fail_pending(RequestStatus status) {
-  MutexLock lock(mu_);
-  pump_locked();
+  std::vector<ServeRequest> left;
+  queue_.drain_into(left);
   const TimePoint now = Clock::now();
-  for (auto& [len, bucket] : buckets_) {
-    for (ServeRequest& req : bucket) {
-      ServeResponse resp;
-      resp.request_id = req.id;
-      resp.tier = req.tier;
-      resp.status = status;
-      resp.latency_us = std::chrono::duration_cast<Micros>(
-                            now - req.enqueue_time)
-                            .count();
-      req.promise.set_value(std::move(resp));
-      // Shutdown-failed requests are terminal for admitted work: without
-      // this, admitted != completed + timed_out + failed at shutdown.
-      if (stats_) stats_->record_failure();
-    }
-    pending_ -= bucket.size();
+  for (ServeRequest& req : left) {
+    resolve_unserved(req, status, now);
+    // Shutdown-failed requests are terminal for admitted work: without
+    // this, admitted != completed + timed_out + failed at shutdown.
+    if (stats_) stats_->record_failure();
   }
-  buckets_.clear();
 }
 
 }  // namespace fqbert::serve

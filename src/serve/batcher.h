@@ -1,12 +1,15 @@
-// Dynamic batching scheduler. Pending requests are bucketed by
-// (rounded-up) sequence length so one engine dispatch sees
-// similar-length sequences; a bucket is flushed to a worker when it
-// reaches max_batch, or when its oldest request has waited max_wait.
-// Expired-deadline requests are failed here instead of reaching an
-// engine.
+// Work-conserving batching. Requests stay in the lane's RequestQueue
+// until a free worker pops them: it takes what is queued at that
+// moment, of any length, in admission order, and never waits for more
+// to arrive. forward_batch is ragged and unpadded, so mixing lengths
+// costs nothing; and since it is barely faster per request than
+// forward(), a worker takes no more than its fair share of a backlog
+// (⌈queued / workers⌉, capped at max_batch) so the other workers can
+// run the rest in parallel. Expired-deadline requests are failed here
+// instead of reaching an engine.
 #pragma once
 
-#include <map>
+#include <algorithm>
 #include <string_view>
 
 #include "serve/request_queue.h"
@@ -15,55 +18,46 @@
 namespace fqbert::serve {
 
 struct BatcherConfig {
+  /// Most requests one engine dispatch takes (the only batching knob).
   int64_t max_batch = 8;
-  Micros max_wait{2000};
-  /// Bucket key = seq_len rounded up to a multiple of this. 1 means
-  /// exact-length buckets; larger values trade scheduling latency for
-  /// attention-cost homogeneity inside a batch.
-  int64_t bucket_granularity = 8;
 };
 
 class DynamicBatcher {
  public:
+  /// `workers` is how many threads pop this batcher.
   DynamicBatcher(RequestQueue& queue, const BatcherConfig& cfg,
-                 ServeStats* stats = nullptr)
-      : queue_(queue), cfg_(cfg), stats_(stats) {
-    if (cfg_.max_batch < 1) cfg_.max_batch = 1;  // 0 would never flush
-  }
+                 ServeStats* stats = nullptr, int workers = 1)
+      : queue_(queue),
+        max_batch_(static_cast<size_t>(std::max<int64_t>(1, cfg.max_batch))),
+        workers_(static_cast<size_t>(std::max(1, workers))),
+        stats_(stats) {}
 
-  /// Blocks until a batch is ready (all requests from one bucket, FIFO
-  /// within the bucket, at most max_batch). Returns false only when the
-  /// queue is closed AND every pending request has been handed out —
-  /// i.e. shutdown drains by construction. Safe to call from many
-  /// worker threads.
+  /// Blocks until a request is queued, then returns the oldest
+  /// min(max_batch, ⌈queued / workers⌉) of them. Returns false only
+  /// when the queue is closed AND empty (or after abort()) — i.e.
+  /// shutdown drains by construction. Safe to call from many worker
+  /// threads.
   bool next_batch(std::vector<ServeRequest>& out);
 
   /// Non-blocking flavor for callers multiplexing several batchers on
-  /// one worker set (the model router): pump the queue and pop a ready
-  /// batch if one is due. Never sleeps; same flush policy as
-  /// next_batch, including force-flush once the queue is closed.
+  /// one worker set (the model router). Never sleeps; same batch.
   enum class Poll {
     kBatch,    // `out` holds a batch
-    kIdle,     // nothing due; *next_flush = earliest max-wait expiry
-               // (TimePoint::max() when empty)
-    kDrained,  // queue closed and everything handed out (or aborted)
+    kIdle,     // nothing queued
+    kDrained,  // queue closed and empty (or aborted)
   };
-  Poll poll_batch(std::vector<ServeRequest>& out, TimePoint* next_flush);
+  Poll poll_batch(std::vector<ServeRequest>& out);
 
   /// Abort-mode shutdown, step 1: stop handing out batches. Call
   /// BEFORE RequestQueue::close() — otherwise a worker woken by
-  /// close() can force-drain the buckets and complete requests the
-  /// caller intended to fail, racing fail_pending on multi-core hosts.
-  /// Batches already handed to workers still complete normally.
+  /// close() can pop and complete requests the caller intended to
+  /// fail, racing fail_pending on multi-core hosts. Batches already
+  /// handed to workers still complete normally.
   void abort();
 
-  /// Abort-mode shutdown, step 2: fail everything still pending (queue
-  /// and buckets) with the given status. Call after the workers have
-  /// been joined.
+  /// Abort-mode shutdown, step 2: fail everything still queued with the
+  /// given status. Call after the workers have been joined.
   void fail_pending(RequestStatus status);
-
-  int64_t bucket_of(int64_t seq_len) const;
-  size_t pending() const;
 
   /// Identity stamped on this batcher's flight-recorder events
   /// (kBatchFormed / kRequestTimedOut). Call once at lane construction,
@@ -72,24 +66,19 @@ class DynamicBatcher {
   void set_event_tag(std::string_view model, uint8_t tier);
 
  private:
-  /// Move newly queued requests into their buckets (mu_ held).
-  void pump_locked() REQUIRES(mu_);
-  /// Pop a ready batch (mu_ held). When nothing is ready, returns false
-  /// and sets *next_flush to the earliest max-wait expiry (or
-  /// TimePoint::max() when idle). `force` flushes any non-empty bucket
-  /// regardless of wait time (drain mode).
-  bool pop_batch_locked(std::vector<ServeRequest>& out, TimePoint now,
-                        bool force, TimePoint* next_flush) REQUIRES(mu_);
+  /// Resolve an expired request with kTimedOut and count it.
+  void time_out(ServeRequest& req, TimePoint now);
 
   RequestQueue& queue_;
-  BatcherConfig cfg_;
+  const size_t max_batch_;
+  const size_t workers_;
   ServeStats* stats_;
   /// Journal identity; written only by set_event_tag before traffic.
   char event_tag_[24] = "default";
   uint8_t event_tier_ = 0;
-  mutable Mutex mu_;
-  std::map<int64_t, std::deque<ServeRequest>> buckets_ GUARDED_BY(mu_);
-  size_t pending_ GUARDED_BY(mu_) = 0;
+  /// Held across the aborted_ check and the pop, so no batch is handed
+  /// out once abort() has returned.
+  Mutex mu_;
   bool aborted_ GUARDED_BY(mu_) = false;
 };
 

@@ -50,7 +50,7 @@ enum class FlightEventType : uint8_t {
   kRequestAdmitted = 0,   // a=queue depth after admit
   kRequestRejected = 1,   // detail=RequestStatus code
   kRequestTimedOut = 2,   // expired in queue; b=age us
-  kBatchFormed = 3,       // a=batch size, detail=seq bucket, b=wait us
+  kBatchFormed = 3,       // a=batch size, detail=max seq_len, b=wait us
   kWorkerStart = 4,       // a=batch size
   kWorkerEnd = 5,         // a=batch size, b=compute us
   kQueueHighWatermark = 6,  // b=new high-watermark depth

@@ -35,9 +35,26 @@ AdmitResult RequestQueue::submit(ServeRequest&& req) {
   if (closed_) return AdmitResult::kClosed;
   if (req.expired(Clock::now())) return AdmitResult::kDeadlineExpired;
   if (pending_.size() >= cfg_.capacity) return AdmitResult::kQueueFull;
+  if (stats_) stats_->record_admitted();
   pending_.push_back(std::move(req));
   cv_.notify_one();
   return AdmitResult::kOk;
+}
+
+bool RequestQueue::pop(std::vector<ServeRequest>& out, size_t max,
+                       TimePoint now, std::vector<ServeRequest>& expired) {
+  MutexLock lock(mu_);
+  for (size_t taken = 0; taken < max && !pending_.empty();) {
+    ServeRequest& front = pending_.front();
+    if (front.expired(now)) {
+      expired.push_back(std::move(front));
+    } else {
+      out.push_back(std::move(front));
+      ++taken;
+    }
+    pending_.pop_front();
+  }
+  return !(closed_ && pending_.empty());
 }
 
 void RequestQueue::drain_into(std::vector<ServeRequest>& out) {

@@ -1,7 +1,8 @@
-// Thread-safe bounded handoff between client threads and the dynamic
-// batcher, with deadline-aware admission: a request whose deadline has
+// Thread-safe bounded FIFO between client threads and the serving
+// workers, with deadline-aware admission: a request whose deadline has
 // already passed (or whose queue is full) is rejected at submit time
-// instead of wasting engine cycles downstream.
+// instead of wasting engine cycles downstream. Admitted requests stay
+// here until a worker pops them (through the DynamicBatcher).
 #pragma once
 
 #include <chrono>
@@ -14,6 +15,7 @@
 
 #include "nn/bert.h"
 #include "platform/thread_annotations.h"
+#include "serve/stats.h"
 #include "serve/trace.h"
 
 namespace fqbert::serve {
@@ -89,17 +91,29 @@ struct RequestQueueConfig {
   size_t capacity = 4096;
 };
 
-/// MPMC bounded FIFO. Producers call submit(); the batcher drains it
-/// wholesale under its own bucketing policy. close() stops admissions
-/// and wakes every waiter (pending requests stay drainable).
+/// MPMC bounded FIFO. Producers call submit(); the batcher pops up to
+/// a batch at a time, oldest first. close() stops admissions and wakes
+/// every waiter (pending requests stay poppable).
 class RequestQueue {
  public:
-  explicit RequestQueue(const RequestQueueConfig& cfg) : cfg_(cfg) {}
+  /// `stats` (optional) counts each admission.
+  explicit RequestQueue(const RequestQueueConfig& cfg,
+                        ServeStats* stats = nullptr)
+      : cfg_(cfg), stats_(stats) {}
 
   /// Deadline-aware admission. On kOk the request is owned by the
-  /// queue; on any rejection the request is left untouched so the
-  /// caller can fail its promise.
+  /// queue and counted as admitted before any worker can pop it (so a
+  /// stats snapshot never shows it completed yet not admitted); on any
+  /// rejection the request is left untouched so the caller can fail
+  /// its promise.
   AdmitResult submit(ServeRequest&& req);
+
+  /// Move up to `max` live requests, oldest first, onto `out`
+  /// (non-blocking). Requests whose deadline has passed by `now` move to
+  /// `expired` instead and do not count against `max`. Returns false
+  /// once the queue is closed and empty: nothing more will ever come.
+  bool pop(std::vector<ServeRequest>& out, size_t max, TimePoint now,
+           std::vector<ServeRequest>& expired);
 
   /// Move every pending request out (non-blocking).
   void drain_into(std::vector<ServeRequest>& out);
@@ -114,6 +128,7 @@ class RequestQueue {
 
  private:
   RequestQueueConfig cfg_;
+  ServeStats* stats_;
   mutable Mutex mu_;
   std::condition_variable cv_;
   std::deque<ServeRequest> pending_ GUARDED_BY(mu_);

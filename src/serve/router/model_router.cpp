@@ -205,15 +205,13 @@ bool ModelRouter::load_model(const std::string& name, const std::string& path,
 
 bool ModelRouter::lane_drained(const Lane& lane) {
   // Order-independent given inflight is raised before poll_batch: a
-  // request is always visible in the queue, the buckets, or under a
-  // nonzero inflight (see Lane::inflight).
-  return lane.queue.size() == 0 && lane.batcher.pending() == 0 &&
-         lane.inflight.load() == 0;
+  // request is always visible in the queue or under a nonzero inflight
+  // (see Lane::inflight).
+  return lane.queue.size() == 0 && lane.inflight.load() == 0;
 }
 
 void ModelRouter::retire_lane(const std::shared_ptr<Lane>& lane) {
-  // Stop admissions; in-flight and queued work still completes (a
-  // closed queue force-flushes partial buckets on the next poll).
+  // Stop admissions; in-flight and queued work still completes.
   lane->closing = true;
   lane->queue.close();
   wake_workers();
@@ -331,10 +329,10 @@ std::future<ServeResponse> ModelRouter::submit(
   FlightRecorder& recorder = FlightRecorder::instance();
   switch (result) {
     case AdmitResult::kOk: {
-      lane->stats.record_admitted();
-      // Journal the admission with the observed backlog, and ratchet
-      // the lane's lifetime high-watermark (CAS max) — a new maximum
-      // gets its own event so saturation onset is timestamped.
+      // The queue counted the admission. Journal it with the observed
+      // backlog, and ratchet the lane's lifetime high-watermark (CAS
+      // max) — a new maximum gets its own event so saturation onset is
+      // timestamped.
       const size_t depth = lane->queue.size();
       recorder.record(FlightEventType::kRequestAdmitted, lane->name,
                       trace_id, req.tier, 0,
@@ -399,13 +397,10 @@ void ModelRouter::worker_loop(size_t worker_index) {
 
     bool executed = false;
     bool all_drained = true;
-    TimePoint next_flush = TimePoint::max();
     for (size_t k = 0; k < lanes.size() && !executed; ++k) {
       Lane& lane = *lanes[(rr + k) % lanes.size()];
       lane.inflight.fetch_add(1);
-      TimePoint lane_flush = TimePoint::max();
-      const DynamicBatcher::Poll poll =
-          lane.batcher.poll_batch(batch, &lane_flush);
+      const DynamicBatcher::Poll poll = lane.batcher.poll_batch(batch);
       if (poll == DynamicBatcher::Poll::kBatch) {
         execute_batch(*lane.engine, lane.stats, batch, lane.name);
         executed = true;
@@ -417,20 +412,18 @@ void ModelRouter::worker_loop(size_t worker_index) {
         drain_cv_.notify_all();
       }
       if (poll != DynamicBatcher::Poll::kDrained) all_drained = false;
-      if (poll == DynamicBatcher::Poll::kIdle)
-        next_flush = std::min(next_flush, lane_flush);
     }
     ++rr;
     if (executed) continue;  // scan again from the next lane
     if (stopping_ && all_drained) return;
 
+    // Every lane is idle: park until a submit bumps the epoch.
     const TimePoint cap = Clock::now() + kWorkerParkCap;
     MutexLock lock(wake_mu_);
     // Explicit loop: a lambda predicate reading work_epoch_ would be
     // opaque to the thread-safety analysis.
     while (work_epoch_ == epoch && !stopping_) {
-      if (wake_cv_.wait_until(lock.native(), std::min(next_flush, cap)) ==
-          std::cv_status::timeout)
+      if (wake_cv_.wait_until(lock.native(), cap) == std::cv_status::timeout)
         break;
     }
   }
@@ -522,7 +515,7 @@ std::vector<ModelRouter::LaneDepth> ModelRouter::queue_depths() const {
   for (const auto& lane : lanes)
     out.push_back(LaneDepth{
         lane->name, lane->tier,
-        lane->queue.size() + lane->batcher.pending(),
+        lane->queue.size(),
         lane->inflight.load(),
         lane->depth_high_watermark.load(std::memory_order_relaxed)});
   return out;

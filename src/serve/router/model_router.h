@@ -168,9 +168,9 @@ class ModelRouter {
   /// One row per lane, (name, tier)-ordered.
   std::vector<LaneStats> all_stats() const;
 
-  /// Instantaneous per-lane backlog (admission queue + batcher
-  /// pending), (name, tier)-ordered. A point-in-time gauge for the
-  /// metrics endpoint.
+  /// Instantaneous per-lane backlog (admission queue depth),
+  /// (name, tier)-ordered. A point-in-time gauge for the metrics
+  /// endpoint.
   std::vector<LaneDepth> queue_depths() const;
 
   /// Name the empty model id routes to ("" when no lane was ever
@@ -204,8 +204,8 @@ class ModelRouter {
           tier(tier_bits),
           engine(std::move(model)),
           config(engine->config()),
-          queue(cfg.queue),
-          batcher(queue, cfg.batcher, &stats) {}
+          queue(cfg.queue, &stats),
+          batcher(queue, cfg.batcher, &stats, cfg.num_workers) {}
 
     const std::string name;
     const int tier;  // weight_bits this lane serves
@@ -215,8 +215,8 @@ class ModelRouter {
     RequestQueue queue;
     DynamicBatcher batcher;
     /// Workers parked on this lane's poll/execute window. Incremented
-    /// BEFORE poll_batch so (queue empty && batcher empty && inflight
-    /// == 0) can never be observed while a popped batch is unresolved.
+    /// BEFORE poll_batch so (queue empty && inflight == 0) can never be
+    /// observed while a popped batch is unresolved.
     std::atomic<int> inflight{0};
     std::atomic<bool> closing{false};
     /// Lifetime max queue depth seen at admission (monotone CAS max).

@@ -20,8 +20,8 @@ InferenceServer::InferenceServer(EngineRegistry& registry,
     : registry_(registry),
       engine_name_(std::move(engine_name)),
       cfg_(cfg),
-      queue_(cfg.queue),
-      batcher_(queue_, cfg.batcher, &stats_),
+      queue_(cfg.queue, &stats_),
+      batcher_(queue_, cfg.batcher, &stats_, cfg.num_workers),
       pool_(batcher_, stats_) {}
 
 InferenceServer::~InferenceServer() { shutdown(/*drain=*/true); }
@@ -74,8 +74,7 @@ std::future<ServeResponse> InferenceServer::submit(
   ServeResponse resp;
   resp.request_id = req.id;
   switch (result) {
-    case AdmitResult::kOk:
-      stats_.record_admitted();
+    case AdmitResult::kOk:  // the queue counted the admission
       return fut;
     case AdmitResult::kQueueFull:
       stats_.record_rejected_full();
@@ -108,8 +107,8 @@ void InferenceServer::shutdown(bool drain) {
   if (!started_ || stopped_.exchange(true)) return;
   // Abort mode: stop batch handout BEFORE waking the workers via
   // close(), then fail whatever is left only after they have exited —
-  // otherwise a woken worker can force-drain the buckets and complete
-  // requests this shutdown promised to fail (racy on multi-core).
+  // otherwise a woken worker can pop and complete requests this
+  // shutdown promised to fail (racy on multi-core).
   if (!drain) batcher_.abort();
   queue_.close();
   pool_.join();

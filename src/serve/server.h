@@ -1,8 +1,8 @@
 // InferenceServer: the serving facade. Wires a RequestQueue (deadline-
-// aware admission) -> DynamicBatcher (seq-length bucketing, max-batch /
-// max-wait flush) -> EnginePool (N workers sharing the one immutable
-// engine from the EngineRegistry), with a ServeStats collector across
-// all stages.
+// aware admission) -> DynamicBatcher (a free worker takes up to
+// max_batch of what is queued, never waiting for more) -> EnginePool
+// (N workers sharing the one immutable engine from the EngineRegistry),
+// with a ServeStats collector across all stages.
 //
 //   EngineRegistry registry;
 //   registry.register_file("sst2", "fq.bin");

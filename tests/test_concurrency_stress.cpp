@@ -116,7 +116,6 @@ TEST(ConcurrencyStress, RouterHotChurnTracedTrafficAndScrapes) {
   RouterConfig rcfg;
   rcfg.num_workers = 2;
   rcfg.batcher.max_batch = 4;
-  rcfg.batcher.max_wait = Micros(300);
   ModelRouter router(registry, rcfg);
   ASSERT_TRUE(router.add_model("base"));
   ASSERT_TRUE(router.start());
@@ -235,7 +234,6 @@ struct StressBackend {
     RouterConfig rcfg;
     rcfg.num_workers = 1;
     rcfg.batcher.max_batch = 4;
-    rcfg.batcher.max_wait = Micros(200);
     router = std::make_unique<ModelRouter>(registry, rcfg);
     registry.register_model("shared", stress_engine());
     EXPECT_TRUE(router->add_model("shared"));

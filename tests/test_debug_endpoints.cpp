@@ -223,7 +223,6 @@ TEST(DebugEndpoints, WellFormedJsonUnderConcurrentTraffic) {
   RouterConfig rcfg;
   rcfg.num_workers = 2;
   rcfg.batcher.max_batch = 4;
-  rcfg.batcher.max_wait = Micros(200);
   ModelRouter router(registry, rcfg);
   ASSERT_TRUE(router.add_model("m0"));
   ASSERT_TRUE(router.start());

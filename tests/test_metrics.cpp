@@ -213,7 +213,6 @@ TEST(MetricsText, RouterExpositionIsValidAndBalances) {
   RouterConfig rcfg;
   rcfg.num_workers = 1;
   rcfg.batcher.max_batch = 4;
-  rcfg.batcher.max_wait = Micros(200);
   ModelRouter router(registry, rcfg);
   ASSERT_TRUE(router.add_model("m0"));
   ASSERT_TRUE(router.add_model("m1"));

@@ -97,7 +97,6 @@ RouterConfig fast_router_config(int workers = 2) {
   RouterConfig cfg;
   cfg.num_workers = workers;
   cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Micros(500);
   return cfg;
 }
 
@@ -164,7 +163,6 @@ TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
   ServerConfig scfg;
   scfg.num_workers = 1;
   scfg.batcher.max_batch = 4;
-  scfg.batcher.max_wait = Micros(500);
   InferenceServer dedicated4(reg4, "d4", scfg);
   ASSERT_TRUE(dedicated4.start());
 

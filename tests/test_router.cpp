@@ -87,7 +87,6 @@ RouterConfig fast_router_config(int workers = 2) {
   RouterConfig cfg;
   cfg.num_workers = workers;
   cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Micros(500);
   return cfg;
 }
 
@@ -109,7 +108,6 @@ TEST(ModelRouter, TwoModelsBitIdenticalToDedicatedServers) {
   ServerConfig scfg;
   scfg.num_workers = 1;
   scfg.batcher.max_batch = 4;
-  scfg.batcher.max_wait = Micros(500);
   EngineRegistry reg_a, reg_b;
   reg_a.register_model("a", engines().a);
   reg_b.register_model("b", engines().b);
@@ -260,6 +258,7 @@ TEST(ModelRouterWire, HotLoadUnloadUnderLiveTraffic) {
   // Live background traffic over A and B for the whole test.
   std::atomic<bool> stop{false};
   std::atomic<int> transport_failures{0};
+  std::atomic<int> live_streams{0};
   auto traffic = [&](const std::string& model, const BertConfig& cfg,
                      uint64_t seed) {
     net::TransportClient client;
@@ -268,16 +267,24 @@ TEST(ModelRouterWire, HotLoadUnloadUnderLiveTraffic) {
       return;
     }
     Rng rng(seed);
-    while (!stop.load()) {
+    for (bool served = false; !stop.load();) {
       const auto resp =
           client.call(synth_example(rng, 4 + rng.randint(0, 8), cfg),
                       std::nullopt, model);
-      if (!resp || resp->status != RequestStatus::kOk)
+      if (!resp || resp->status != RequestStatus::kOk) {
         transport_failures.fetch_add(1);
+      } else if (!served) {
+        served = true;
+        live_streams.fetch_add(1);
+      }
     }
   };
   std::thread ta(traffic, "a", shape_a(), 101);
   std::thread tb(traffic, "b", shape_b(), 202);
+  // The churn below takes a few ms now that nothing waits on a batch
+  // timer; start it only once both streams are being served.
+  while (live_streams.load() < 2 && transport_failures.load() == 0)
+    std::this_thread::yield();
 
   // Control plane on its own connection: load C, serve it, unload it —
   // several times, all under the live A/B traffic.

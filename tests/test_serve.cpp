@@ -1,5 +1,5 @@
-// Serving subsystem tests: batched-forward bit-identity, seq-length
-// bucketing, max-wait flush, deadline admission, response-to-request
+// Serving subsystem tests: batched-forward bit-identity, work-conserving
+// FIFO batching, deadline admission and timeout, response-to-request
 // ordering under concurrent submitters, and shutdown (drain and abort).
 #include <gtest/gtest.h>
 
@@ -138,60 +138,83 @@ TEST(RequestQueue, RejectsWhenFullAndAfterClose) {
 // Dynamic batcher
 // ---------------------------------------------------------------------------
 
-TEST(DynamicBatcher, BucketsBySequenceLength) {
+TEST(DynamicBatcher, LoneRequestIsHandedOutAtOnce) {
+  RequestQueue queue(RequestQueueConfig{64});
+  DynamicBatcher batcher(queue, BatcherConfig{});  // max_batch 8
+
+  std::vector<ServeRequest> batch;
+  EXPECT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kIdle);
+  ASSERT_EQ(queue.submit(make_request(1, 8)), AdmitResult::kOk);
+  // The very next non-blocking poll hands the request out: a free
+  // worker never waits for a batch to fill.
+  ASSERT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kBatch);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].id, 1u);
+  EXPECT_EQ(queue.size(), 0u);
+
+  // A worker parked in next_batch wakes on the submit itself.
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(queue.submit(make_request(2, 8)), AdmitResult::kOk);
+  });
+  ASSERT_TRUE(batcher.next_batch(batch));
+  producer.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].id, 2u);
+}
+
+TEST(DynamicBatcher, MixedLengthBacklogFormsFifoBatches) {
   RequestQueue queue(RequestQueueConfig{64});
   BatcherConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_wait = Micros(3600L * 1000 * 1000);  // flush only on max-batch
-  cfg.bucket_granularity = 8;
   DynamicBatcher batcher(queue, cfg);
 
-  EXPECT_EQ(batcher.bucket_of(1), 8);
-  EXPECT_EQ(batcher.bucket_of(8), 8);
-  EXPECT_EQ(batcher.bucket_of(9), 16);
-
-  // Interleave two length classes; each must flush as a homogeneous
-  // full batch.
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(queue.submit(make_request(10 + i, 6)), AdmitResult::kOk);
-    ASSERT_EQ(queue.submit(make_request(20 + i, 14)), AdmitResult::kOk);
-  }
-  for (int b = 0; b < 2; ++b) {
-    std::vector<ServeRequest> batch;
-    ASSERT_TRUE(batcher.next_batch(batch));
-    ASSERT_EQ(batch.size(), 4u);
-    const int64_t bucket = batcher.bucket_of(batch[0].seq_len());
-    for (const ServeRequest& req : batch)
-      EXPECT_EQ(batcher.bucket_of(req.seq_len()), bucket);
-  }
-  EXPECT_EQ(batcher.pending(), 0u);
-}
-
-TEST(DynamicBatcher, MaxWaitFlushesPartialBatch) {
-  RequestQueue queue(RequestQueueConfig{64});
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_wait = Micros(15 * 1000);
-  DynamicBatcher batcher(queue, cfg);
-
-  ASSERT_EQ(queue.submit(make_request(1, 8)), AdmitResult::kOk);
-  ASSERT_EQ(queue.submit(make_request(2, 8)), AdmitResult::kOk);
-
-  const TimePoint t0 = Clock::now();
+  const std::vector<int64_t> lengths = {6, 30, 2, 14, 9, 20};
+  for (size_t i = 0; i < lengths.size(); ++i)
+    ASSERT_EQ(queue.submit(make_request(i + 1, lengths[i])),
+              AdmitResult::kOk);
+  // One batch of max_batch across every length, in admission order,
+  // then the rest.
   std::vector<ServeRequest> batch;
   ASSERT_TRUE(batcher.next_batch(batch));
-  const double waited_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  EXPECT_EQ(batch.size(), 2u);  // flushed without reaching max_batch
-  EXPECT_GE(waited_ms, 5.0);    // ...but only after (most of) max_wait
-  EXPECT_LE(waited_ms, 5000.0);
+  ASSERT_EQ(batch.size(), 4u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch[i].id, i + 1);
+    EXPECT_EQ(batch[i].seq_len(), lengths[i]);
+  }
+  // close() stops admission, not hand-out: the rest still drains.
+  queue.close();
+  ASSERT_TRUE(batcher.next_batch(batch));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].id, 5u);
+  EXPECT_EQ(batch[1].id, 6u);
+  EXPECT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kDrained);
+  EXPECT_FALSE(batcher.next_batch(batch));
+}
+
+TEST(DynamicBatcher, SplitsBacklogEvenlyAcrossWorkers) {
+  RequestQueue queue(RequestQueueConfig{64});
+  DynamicBatcher batcher(queue, BatcherConfig{}, nullptr, /*workers=*/3);
+  for (uint64_t i = 1; i <= 7; ++i)
+    ASSERT_EQ(queue.submit(make_request(i, 8)), AdmitResult::kOk);
+  // ceil(7 / 3) = 3 for the first free worker, leaving the rest for
+  // the other two instead of running 7 requests on one thread.
+  std::vector<ServeRequest> batch;
+  ASSERT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kBatch);
+  EXPECT_EQ(batch.size(), 3u);
+  ASSERT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kBatch);
+  EXPECT_EQ(batch.size(), 2u);  // ceil(4 / 3)
+  ASSERT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kBatch);
+  EXPECT_EQ(batch.size(), 1u);
+  ASSERT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kBatch);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].id, 7u);
 }
 
 TEST(DynamicBatcher, DropsExpiredRequestsWithTimeoutStatus) {
   RequestQueue queue(RequestQueueConfig{64});
   BatcherConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = Micros(1000);
+  cfg.max_batch = 1;  // an expired request must not take the one slot
   ServeStats stats;
   DynamicBatcher batcher(queue, cfg, &stats);
 
@@ -221,7 +244,6 @@ TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
   ServerConfig cfg;
   cfg.num_workers = 2;
   cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Micros(500);
   InferenceServer server(registry, "tiny", cfg);
   ASSERT_TRUE(server.start());
 
@@ -264,48 +286,57 @@ TEST(InferenceServer, GracefulShutdownDrainsQueue) {
 
   ServerConfig cfg;
   cfg.num_workers = 1;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Micros(50 * 1000);  // keep requests queued
+  cfg.batcher.max_batch = 1;
   InferenceServer server(registry, "tiny", cfg);
   ASSERT_TRUE(server.start());
 
+  // The one worker takes a request at a time, so shutdown lands on a
+  // backlog it must finish, not fail.
   Rng rng(5);
   std::vector<std::future<ServeResponse>> futures;
-  for (int i = 0; i < 10; ++i)
+  for (int i = 0; i < 64; ++i)
     futures.push_back(
-        server.submit(synth_example(rng, 8, fixture().config)));
+        server.submit(synth_example(rng, 32, fixture().config)));
 
-  server.shutdown(/*drain=*/true);  // must complete all 10, not fail them
+  server.shutdown(/*drain=*/true);
   int ok = 0;
   for (auto& fut : futures) ok += fut.get().status == RequestStatus::kOk;
-  EXPECT_EQ(ok, 10);
-  EXPECT_EQ(server.stats().report().completed, 10u);
+  EXPECT_EQ(ok, 64);
+  EXPECT_EQ(server.stats().report().completed, 64u);
 
   // Post-shutdown submissions are rejected with kShutdown.
   auto late = server.submit(synth_example(rng, 8, fixture().config));
   EXPECT_EQ(late.get().status, RequestStatus::kShutdown);
 }
 
-TEST(InferenceServer, AbortShutdownFailsPendingRequests) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-
-  ServerConfig cfg;
-  cfg.num_workers = 1;
-  cfg.batcher.max_batch = 64;
-  cfg.batcher.max_wait = Micros(3600L * 1000 * 1000);  // never flush
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
-
-  Rng rng(6);
+TEST(DynamicBatcher, AbortFailsQueuedRequestsAndHandsOutNone) {
+  // InferenceServer::shutdown(drain=false) order against a queue no
+  // worker has popped yet: abort -> close -> workers -> fail_pending.
+  ServeStats stats;
+  RequestQueue queue(RequestQueueConfig{64}, &stats);
+  DynamicBatcher batcher(queue, BatcherConfig{}, &stats);
   std::vector<std::future<ServeResponse>> futures;
-  for (int i = 0; i < 5; ++i)
-    futures.push_back(
-        server.submit(synth_example(rng, 8, fixture().config)));
+  for (uint64_t i = 0; i < 5; ++i) {
+    ServeRequest req = make_request(i + 1, 8);
+    futures.push_back(req.promise.get_future());
+    ASSERT_EQ(queue.submit(std::move(req)), AdmitResult::kOk);
+  }
 
-  server.shutdown(/*drain=*/false);
+  batcher.abort();
+  queue.close();
+  // Workers that start after abort() exit without taking a batch.
+  EnginePool pool(batcher, stats);
+  pool.start(fixture().engine, 1);
+  pool.join();
+  EXPECT_EQ(queue.size(), 5u);
+  batcher.fail_pending(RequestStatus::kShutdown);
+
   for (auto& fut : futures)
     EXPECT_EQ(fut.get().status, RequestStatus::kShutdown);
+  const ServeStats::Report r = stats.report();
+  EXPECT_EQ(r.completed, 0u);
+  EXPECT_EQ(r.failed, 5u);
+  EXPECT_TRUE(r.accounting_balances());
 }
 
 TEST(InferenceServer, RejectsMalformedExamplesAtAdmission) {
@@ -476,23 +507,31 @@ TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
 
   ServerConfig cfg;
   cfg.num_workers = 1;
-  cfg.batcher.max_batch = 64;
-  cfg.batcher.max_wait = Micros(3600L * 1000 * 1000);  // never flush
+  cfg.batcher.max_batch = 1;
   InferenceServer server(registry, "tiny", cfg);
   ASSERT_TRUE(server.start());
 
+  // The one worker takes a request at a time, so an abort lands on a
+  // backlog; wherever it lands, every future reaches exactly the
+  // terminal state the stats count for it.
   Rng rng(13);
   std::vector<std::future<ServeResponse>> futures;
-  for (int i = 0; i < 7; ++i)
+  for (int i = 0; i < 64; ++i)
     futures.push_back(
-        server.submit(synth_example(rng, 8, fixture().config)));
+        server.submit(synth_example(rng, 32, fixture().config)));
   server.shutdown(/*drain=*/false);
-  for (auto& fut : futures)
-    EXPECT_EQ(fut.get().status, RequestStatus::kShutdown);
+  uint64_t ok = 0, shut = 0;
+  for (auto& fut : futures) {
+    const RequestStatus status = fut.get().status;
+    ok += status == RequestStatus::kOk;
+    shut += status == RequestStatus::kShutdown;
+  }
+  EXPECT_EQ(ok + shut, 64u);
 
   const ServeStats::Report r = server.stats().report();
-  EXPECT_EQ(r.admitted, 7u);
-  EXPECT_EQ(r.failed, 7u);
+  EXPECT_EQ(r.admitted, 64u);
+  EXPECT_EQ(r.completed, ok);
+  EXPECT_EQ(r.failed, shut);
   EXPECT_EQ(r.completed + r.timed_out + r.failed, r.admitted)
       << "admitted requests must all reach exactly one terminal state";
   EXPECT_TRUE(r.accounting_balances());
@@ -505,7 +544,6 @@ TEST(InferenceServer, LoadgenAccountingBalancesWithTimeouts) {
   ServerConfig cfg;
   cfg.num_workers = 2;
   cfg.batcher.max_batch = 8;
-  cfg.batcher.max_wait = Micros(500);
   InferenceServer server(registry, "tiny", cfg);
   ASSERT_TRUE(server.start());
 

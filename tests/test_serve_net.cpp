@@ -350,7 +350,6 @@ TEST(TransportLoopback, ResponsesBitIdenticalToInProcessAcrossThreads) {
   ServerConfig cfg;
   cfg.num_workers = 2;
   cfg.batcher.max_batch = 4;
-  cfg.batcher.max_wait = Micros(500);
   NetFixture net(cfg);
 
   constexpr int kClients = 4, kPerClient = 25;
@@ -621,8 +620,17 @@ TEST(TransportLoopback, TruncatedFramesThenDisconnectLeaveServerUp) {
 
 TEST(TransportLoopback, ClientDisconnectBeforeResponseDropsItQuietly) {
   ServerConfig cfg;
-  cfg.batcher.max_wait = Micros(20 * 1000);  // response arrives "late"
+  cfg.num_workers = 1;
+  cfg.batcher.max_batch = 1;
   NetFixture net(cfg);
+  // Keep the only worker busy with an in-process backlog so the wire
+  // request's response arrives "late", after the client is gone.
+  Rng backlog_rng(9);
+  std::vector<std::future<ServeResponse>> backlog;
+  for (int i = 0; i < 200; ++i)
+    backlog.push_back(net.router->submit(
+        "tiny", synth_example(backlog_rng, fixture().config.max_seq_len,
+                              fixture().config)));
   {
     RawConn conn;
     ASSERT_TRUE(conn.connect(net.port()));
@@ -633,10 +641,11 @@ TEST(TransportLoopback, ClientDisconnectBeforeResponseDropsItQuietly) {
     std::vector<uint8_t> f;
     net::encode_serve_request(req, f);
     ASSERT_TRUE(conn.send_bytes(f));
-    conn.close();  // gone before the batcher even flushes
+    conn.close();  // gone before the worker reaches the request
   }
   // The request still completes server-side; the response is dropped on
   // the floor instead of crashing the loop or leaking the connection.
+  for (auto& fut : backlog) EXPECT_EQ(fut.get().status, RequestStatus::kOk);
   expect_server_alive(net);
   const auto report = net.router->stats_report("tiny");
   ASSERT_TRUE(report.has_value());
@@ -683,7 +692,6 @@ TEST(TransportLoopback, RemoteLoadgenClosedLoopZeroFailures) {
   ServerConfig cfg;
   cfg.num_workers = 2;
   cfg.batcher.max_batch = 8;
-  cfg.batcher.max_wait = Micros(500);
   NetFixture net(cfg);
 
   LoadgenConfig lcfg;

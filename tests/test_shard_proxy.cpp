@@ -94,7 +94,6 @@ struct BackendHost {
     RouterConfig rcfg;
     rcfg.num_workers = 1;
     rcfg.batcher.max_batch = 4;
-    rcfg.batcher.max_wait = Micros(200);
     router = std::make_unique<ModelRouter>(registry, rcfg);
     for (const auto& [name, engine] : models) {
       registry.register_model(name, engine);

@@ -10,7 +10,7 @@
 //                       [--seq S]
 //   fqbert_cli serve    --engine fq.bin | --task sst2|mnli [--fast]
 //                       [--listen PORT [--bind ADDR]]
-//                       [--workers N] [--batch B] [--wait-us U]
+//                       [--workers N] [--batch B]
 //                       [--clients C] [--requests R] [--deadline-ms D]
 //                       [--seq-mix 12,16,24] [--seed S]
 //   fqbert_cli loadgen  serve options, plus
@@ -88,7 +88,7 @@ int usage() {
                "           [--listen PORT [--bind ADDR] [--metrics PORT]\n"
                "            [--model NAME=FILE[@int8,int4...] ...]\n"
                "            [--tier-fallback strict|default]]\n"
-               "           [--workers N] [--batch B] [--wait-us U]\n"
+               "           [--workers N] [--batch B]\n"
                "           [--clients C] [--requests R] [--deadline-ms D]\n"
                "           [--seq-mix 12,16,24] [--seed S]\n"
                "  loadgen  serve options plus [--connect HOST:PORT\n"
@@ -175,8 +175,6 @@ const std::map<std::string, std::vector<OptionSpec>>& command_options() {
         {"tier-fallback", true},
         {"workers", true},
         {"batch", true},
-        {"wait-us", true},
-        {"granularity", true},
         {"clients", true},
         {"requests", true},
         {"deadline-ms", true},
@@ -191,8 +189,6 @@ const std::map<std::string, std::vector<OptionSpec>>& command_options() {
         {"tier", true},
         {"workers", true},
         {"batch", true},
-        {"wait-us", true},
-        {"granularity", true},
         {"clients", true},
         {"requests", true},
         {"deadline-ms", true},
@@ -346,9 +342,6 @@ serve::ServerConfig server_config_from(const Args& a) {
   serve::ServerConfig cfg;
   cfg.num_workers = static_cast<int>(int_opt(a, "workers", 2, 1, 1024));
   cfg.batcher.max_batch = int_opt(a, "batch", 8, 1, 4096);
-  cfg.batcher.max_wait =
-      serve::Micros(int_opt(a, "wait-us", 2000, 0, 3600LL * 1000 * 1000));
-  cfg.batcher.bucket_granularity = int_opt(a, "granularity", 8, 1, 4096);
   return cfg;
 }
 
@@ -669,11 +662,10 @@ int run_listen_server(const Args& a, const serve::ServerConfig& scfg) {
     names += (names.empty() ? "" : ", ") + n + "@" + tiers;
   }
   std::printf("listening on %s:%u — models [%s] (default: %s), %d workers, "
-              "max batch %lld, max wait %lld us; Ctrl-C to stop\n",
+              "max batch %lld; Ctrl-C to stop\n",
               tcfg.bind_address.c_str(), transport.port(), names.c_str(),
               router.default_model().c_str(), rcfg.num_workers,
-              static_cast<long long>(rcfg.batcher.max_batch),
-              static_cast<long long>(rcfg.batcher.max_wait.count()));
+              static_cast<long long>(rcfg.batcher.max_batch));
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_stop_signal);
@@ -720,11 +712,10 @@ int cmd_serve(const Args& a) {
   auto engine = resolve_engine(a, registry, "default");
   if (!engine) return usage();
 
-  std::printf("serving '%s': %d workers, max batch %lld, max wait %lld us, "
+  std::printf("serving '%s': %d workers, max batch %lld, "
               "%d closed-loop clients x %d requests (hw threads: %u)\n",
               a.get("engine", a.get("task")).c_str(), scfg.num_workers,
               static_cast<long long>(scfg.batcher.max_batch),
-              static_cast<long long>(scfg.batcher.max_wait.count()),
               lcfg.num_clients, lcfg.requests_per_client,
               std::thread::hardware_concurrency());
 
@@ -778,8 +769,8 @@ int run_remote_loadgen(const Args& a) {
   // The engine and the serving/sweep knobs live on the remote server;
   // accepting them here would silently ignore them.
   reject_options(a, "--connect",
-                 {"engine", "task", "fast", "workers", "batch", "wait-us",
-                  "granularity", "batch-sweep", "worker-sweep"});
+                 {"engine", "task", "fast", "workers", "batch", "batch-sweep",
+                  "worker-sweep"});
   std::string host;
   uint16_t port = 0;
   parse_host_port(a.get("connect"), &host, &port);
