@@ -65,9 +65,7 @@ DynamicBatcher::Poll DynamicBatcher::poll_batch(
     MutexLock lock(mu_);
     // Aborting: queued work is fail_pending's to resolve, not ours.
     if (aborted_) return Poll::kDrained;
-    const size_t share = (queue_.size() + workers_ - 1) / workers_;
-    open = queue_.pop(out, std::clamp<size_t>(share, 1, max_batch_), now,
-                      expired);
+    open = queue_.pop(out, max_batch_, now, expired);
   }
   for (ServeRequest& req : expired) time_out(req, now);
   if (out.empty()) return open ? Poll::kIdle : Poll::kDrained;

@@ -2,11 +2,8 @@
 // until a free worker pops them: it takes what is queued at that
 // moment, of any length, in admission order, and never waits for more
 // to arrive. forward_batch is ragged and unpadded, so mixing lengths
-// costs nothing; and since it is barely faster per request than
-// forward(), a worker takes no more than its fair share of a backlog
-// (⌈queued / workers⌉, capped at max_batch) so the other workers can
-// run the rest in parallel. Expired-deadline requests are failed here
-// instead of reaching an engine.
+// costs nothing. Expired-deadline requests are failed here instead of
+// reaching an engine.
 #pragma once
 
 #include <algorithm>
@@ -24,19 +21,16 @@ struct BatcherConfig {
 
 class DynamicBatcher {
  public:
-  /// `workers` is how many threads pop this batcher.
   DynamicBatcher(RequestQueue& queue, const BatcherConfig& cfg,
-                 ServeStats* stats = nullptr, int workers = 1)
+                 ServeStats* stats = nullptr)
       : queue_(queue),
         max_batch_(static_cast<size_t>(std::max<int64_t>(1, cfg.max_batch))),
-        workers_(static_cast<size_t>(std::max(1, workers))),
         stats_(stats) {}
 
   /// Blocks until a request is queued, then returns the oldest
-  /// min(max_batch, ⌈queued / workers⌉) of them. Returns false only
-  /// when the queue is closed AND empty (or after abort()) — i.e.
-  /// shutdown drains by construction. Safe to call from many worker
-  /// threads.
+  /// min(max_batch, queued) of them. Returns false only when the queue
+  /// is closed AND empty (or after abort()) — i.e. shutdown drains by
+  /// construction. Safe to call from many worker threads.
   bool next_batch(std::vector<ServeRequest>& out);
 
   /// Non-blocking flavor for callers multiplexing several batchers on
@@ -71,7 +65,6 @@ class DynamicBatcher {
 
   RequestQueue& queue_;
   const size_t max_batch_;
-  const size_t workers_;
   ServeStats* stats_;
   /// Journal identity; written only by set_event_tag before traffic.
   char event_tag_[24] = "default";

@@ -205,7 +205,7 @@ class ModelRouter {
           engine(std::move(model)),
           config(engine->config()),
           queue(cfg.queue, &stats),
-          batcher(queue, cfg.batcher, &stats, cfg.num_workers) {}
+          batcher(queue, cfg.batcher, &stats) {}
 
     const std::string name;
     const int tier;  // weight_bits this lane serves

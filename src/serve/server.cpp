@@ -21,7 +21,7 @@ InferenceServer::InferenceServer(EngineRegistry& registry,
       engine_name_(std::move(engine_name)),
       cfg_(cfg),
       queue_(cfg.queue, &stats_),
-      batcher_(queue_, cfg.batcher, &stats_, cfg.num_workers),
+      batcher_(queue_, cfg.batcher, &stats_),
       pool_(batcher_, stats_) {}
 
 InferenceServer::~InferenceServer() { shutdown(/*drain=*/true); }
