@@ -97,10 +97,8 @@ FunctionalRunStats run_layer_on_bim(const core::FqEncoderLayer& layer,
   stats.mac_count += seq_len * hidden * hidden;
 
   std::vector<int32_t> res(static_cast<size_t>(seq_len * hidden));
-  for (int64_t i = 0; i < seq_len * hidden; ++i)
-    res[static_cast<size_t>(i)] =
-        static_cast<int32_t>(attn_out[static_cast<size_t>(i)]) +
-        layer.res1_rq.apply(x[static_cast<size_t>(i)]);
+  layer.add_residual(attn_out.data(), x.data(), res.data(), seq_len * hidden,
+                     /*first=*/true);
 
   std::vector<int8_t> ffn_x;
   layer.apply_layernorm(res, ffn_x, seq_len, /*first=*/true);
@@ -110,15 +108,13 @@ FunctionalRunStats run_layer_on_bim(const core::FqEncoderLayer& layer,
       quant_linear_on_bim(layer.ffn1, bim, ffn_x, pre, seq_len);
   stats.mac_count += seq_len * hidden * layer.ffn_dim;
   mid.resize(pre.size());
-  for (size_t i = 0; i < pre.size(); ++i) mid[i] = layer.gelu->apply(pre[i]);
+  layer.gelu->apply_n(pre.data(), mid.data(), pre.size());
   stats.bim_cycles_8x4 +=
       quant_linear_on_bim(layer.ffn2, bim, mid, fo, seq_len);
   stats.mac_count += seq_len * hidden * layer.ffn_dim;
 
-  for (int64_t i = 0; i < seq_len * hidden; ++i)
-    res[static_cast<size_t>(i)] =
-        static_cast<int32_t>(fo[static_cast<size_t>(i)]) +
-        layer.res2_rq.apply(ffn_x[static_cast<size_t>(i)]);
+  layer.add_residual(fo.data(), ffn_x.data(), res.data(), seq_len * hidden,
+                     /*first=*/false);
   layer.apply_layernorm(res, y, seq_len, /*first=*/false);
   return stats;
 }

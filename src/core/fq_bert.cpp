@@ -205,10 +205,8 @@ void FqEncoderLayer::forward_batch(const std::vector<int8_t>& x,
 
   std::vector<int32_t>& res = s.res;
   res.resize(static_cast<size_t>(total * hidden));
-  for (int64_t i = 0; i < total * hidden; ++i)
-    res[static_cast<size_t>(i)] =
-        static_cast<int32_t>(attn_out[static_cast<size_t>(i)]) +
-        res1_rq.apply(x[static_cast<size_t>(i)]);
+  add_residual(attn_out.data(), x.data(), res.data(), total * hidden,
+               /*first=*/true);
 
   std::vector<int8_t>& ffn_x = s.ffn_x;
   apply_layernorm(res, ffn_x, total, /*first=*/true);
@@ -216,14 +214,19 @@ void FqEncoderLayer::forward_batch(const std::vector<int8_t>& x,
   std::vector<int8_t>&pre = s.pre, &mid = s.mid, &fo = s.fo;
   ffn1.forward_i8(ffn_x, pre, total, s.acc);
   mid.resize(pre.size());
-  for (size_t i = 0; i < pre.size(); ++i) mid[i] = gelu->apply(pre[i]);
+  gelu->apply_n(pre.data(), mid.data(), pre.size());
   ffn2.forward_i8(mid, fo, total, s.acc);
 
-  for (int64_t i = 0; i < total * hidden; ++i)
-    res[static_cast<size_t>(i)] =
-        static_cast<int32_t>(fo[static_cast<size_t>(i)]) +
-        res2_rq.apply(ffn_x[static_cast<size_t>(i)]);
+  add_residual(fo.data(), ffn_x.data(), res.data(), total * hidden,
+               /*first=*/false);
   apply_layernorm(res, y, total, /*first=*/false);
+}
+
+void FqEncoderLayer::add_residual(const int8_t* branch, const int8_t* skip,
+                                  int32_t* res, int64_t n, bool first) const {
+  // A local table pointer: the int32 stores may alias the layer's members.
+  const int32_t* lut = (first ? res1_lut : res2_lut).data() + 128;
+  for (int64_t i = 0; i < n; ++i) res[i] = branch[i] + lut[skip[i]];
 }
 
 void FqEncoderLayer::apply_softmax(const std::vector<int32_t>& scores,
@@ -255,8 +258,8 @@ void FqEncoderLayer::apply_layernorm(const std::vector<int32_t>& res,
                                      std::vector<int8_t>& out, int64_t s_len,
                                      bool first) const {
   if (use_int_layernorm) {
-    const quant::IntLayerNorm& ln = first ? *ln1 : *ln2;
-    ln.apply(res, out, s_len);
+    out.resize(static_cast<size_t>(s_len * hidden));
+    layernorm_rows(first ? *ln1 : *ln2, res.data(), out.data(), s_len);
     return;
   }
   // Float fallback: dequantize the residual (scale of the second residual
@@ -397,9 +400,10 @@ void FqBertModel::embed_into(const nn::Example& ex, int8_t* codes) const {
   const int64_t s_len = static_cast<int64_t>(ex.tokens.size());
   const int64_t hdim = config_.hidden;
 
+  // Sum of the three (dequantized) embedding rows; one buffer serves
+  // every row.
+  std::vector<double> row(static_cast<size_t>(hdim));
   for (int64_t r = 0; r < s_len; ++r) {
-    // Sum of the three (dequantized) embedding rows.
-    std::vector<double> row(static_cast<size_t>(hdim));
     const float* tok = tok_table_.row(ex.tokens[static_cast<size_t>(r)]);
     const float* pos = pos_table_.row(r);
     const float* seg = seg_table_.row(ex.segments[static_cast<size_t>(r)]);
@@ -542,6 +546,10 @@ void rebuild_derived_kernels(FqEncoderLayer& layer) {
       Requantizer::from_scale(layer.attn_out_scale / layer.in_scale);
   layer.res2_rq =
       Requantizer::from_scale(layer.ffn_out_scale / layer.ffn_in_scale);
+  for (int code = -128; code <= 127; ++code) {
+    layer.res1_lut[static_cast<size_t>(code + 128)] = layer.res1_rq.apply(code);
+    layer.res2_lut[static_cast<size_t>(code + 128)] = layer.res2_rq.apply(code);
+  }
 }
 
 namespace {

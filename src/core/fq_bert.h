@@ -18,6 +18,7 @@
 // very same engine.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -127,6 +128,9 @@ struct FqEncoderLayer {
   quant::Requantizer ctx_rq;   // 1/255 * (255*s_v -> s_ctx)
   quant::Requantizer res1_rq;  // in_scale -> attn_out_scale grid
   quant::Requantizer res2_rq;  // ffn_in_scale -> ffn_out_scale grid
+  // res1_rq / res2_rq applied to every int8 code, indexed by code + 128:
+  // a residual's skip input is a code, so its requantization is a lookup.
+  std::array<int32_t, 256> res1_lut{}, res2_lut{};
 
   // Float LN parameters for the non-quantized-LN fallback.
   std::vector<float> ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
@@ -149,6 +153,13 @@ struct FqEncoderLayer {
   void forward_batch(const std::vector<int8_t>& x, std::vector<int8_t>& y,
                      const std::vector<int64_t>& seq_lens,
                      FqBatchScratch& scratch) const;
+
+  /// res[i] = branch[i] + res1_rq.apply(skip[i]) (first=true) or
+  /// + res2_rq.apply(skip[i]) for i < n, through res1_lut / res2_lut.
+  /// The residual add before LN1 / LN2, shared with the accelerator's
+  /// functional simulator.
+  void add_residual(const int8_t* branch, const int8_t* skip, int32_t* res,
+                    int64_t n, bool first) const;
 
   /// LN1 (first=true) or LN2 over int32 residual rows; integer kernel or
   /// float fallback depending on use_int_layernorm.  The residual input

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/kernel_target.h"
+#include "quant/int_layernorm.h"
 
 namespace fqbert::core {
 
@@ -215,17 +216,25 @@ void requant_portable(const int32_t* acc, const int32_t* bias, int64_t mult,
   }
 }
 
+void layernorm_portable(const quant::IntLayerNorm& ln, const int32_t* x,
+                        int8_t* out, int64_t rows) {
+  const int64_t h = ln.features();
+  for (int64_t r = 0; r < rows; ++r) ln.apply_row(x + r * h, out + r * h);
+}
+
 struct Ops {
   kernels::GemmFn gemm;
   kernels::RequantFn requant;
+  kernels::LayerNormFn layernorm;
 };
 
-// Indexed by KernelTarget. AVX2 keeps the portable requantizer: it has
-// no 64-bit multiply, and requant is a small share next to the GEMM.
+// Indexed by KernelTarget. AVX2 keeps the portable requantizer and
+// LayerNorm rows: both need 64-bit lanes, and AVX2 has no 64-bit
+// multiply.
 constexpr Ops kOps[] = {
-    {&gemm_portable, &requant_portable},
-    {&kernels::gemm_avx2, &requant_portable},
-    {&kernels::gemm_vnni, &kernels::requant_vnni},
+    {&gemm_portable, &requant_portable, &layernorm_portable},
+    {&kernels::gemm_avx2, &requant_portable, &layernorm_portable},
+    {&kernels::gemm_vnni, &kernels::requant_vnni, &kernels::layernorm_vnni},
 };
 
 const Ops& ops_of(KernelTarget t) { return kOps[static_cast<int>(t)]; }
@@ -361,6 +370,11 @@ void requantize_i8(const std::vector<int32_t>& acc,
   active_ops().requant(acc.data(),
                        bias_per_col.empty() ? nullptr : bias_per_col.data(),
                        rq.multiplier, rq.shift, out.data(), rows, cols);
+}
+
+void layernorm_rows(const quant::IntLayerNorm& ln, const int32_t* x,
+                    int8_t* out, int64_t rows) {
+  active_ops().layernorm(ln, x, out, rows);
 }
 
 }  // namespace fqbert::core

@@ -30,6 +30,10 @@
 
 #include "quant/fixed_point.h"
 
+namespace fqbert::quant {
+class IntLayerNorm;
+}
+
 namespace fqbert::core {
 
 constexpr int64_t kTileCols = 16;   // output columns per tile
@@ -95,7 +99,14 @@ void requantize_i8(const std::vector<int32_t>& acc,
                    const quant::Requantizer& rq, std::vector<int8_t>& out,
                    int64_t rows, int64_t cols);
 
-/// The kernel target this process runs: "avx512_vnni" or "portable".
+/// ln.apply_row over `rows` consecutive rows of ln.features() codes
+/// (x int32 residuals, out int8). The AVX-512 VNNI target runs a SIMD
+/// row kernel with the same arithmetic; the others run apply_row.
+void layernorm_rows(const quant::IntLayerNorm& ln, const int32_t* x,
+                    int8_t* out, int64_t rows);
+
+/// The kernel target this process runs: "avx512_vnni", "avx2" or
+/// "portable".
 const char* kernel_name();
 
 }  // namespace fqbert::core

@@ -1,12 +1,13 @@
-// AVX-512 VNNI target of the tile GEMM and the requantizer. Every
-// function here carries its own target attribute, so the rest of the
-// build keeps the baseline ISA; int_kernels.cpp calls in only after
-// __builtin_cpu_supports has confirmed the features.
+// AVX-512 VNNI target of the tile GEMM, the requantizer and the
+// LayerNorm rows. Every function here carries its own target attribute,
+// so the rest of the build keeps the baseline ISA; int_kernels.cpp calls
+// in only after __builtin_cpu_supports has confirmed the features.
 #include <cstdlib>
 #include <cstring>
 
 #include "core/int_kernels.h"
 #include "core/kernel_target.h"
+#include "quant/int_layernorm.h"
 
 #if defined(__x86_64__)
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
@@ -157,6 +158,78 @@ FQBERT_VNNI void requant_vnni(const int32_t* acc, const int32_t* bias,
   }
 }
 
+FQBERT_VNNI void layernorm_vnni(const quant::IntLayerNorm& ln,
+                                const int32_t* x, int8_t* out, int64_t rows) {
+  // IntLayerNorm::apply_row in eight int64 lanes: the same row_mean and
+  // inv_std_of, the same products, round half away from zero and clamp
+  // to [-127, 127]. Masked lanes of the statistics are zero.
+  using quant::IntLayerNorm;
+  constexpr int kXhatShift =
+      IntLayerNorm::kInvStdFracBits - IntLayerNorm::kXhatFracBits;
+  const int64_t h = ln.features();
+  const int8_t* gamma = ln.gamma_q().data();
+  const int32_t* beta = ln.beta_q().data();
+  const int shift = ln.out_requant().shift;
+  const __m512i mv = _mm512_set1_epi64(ln.out_requant().multiplier);
+  const __m512i half = _mm512_set1_epi64(shift > 0 ? int64_t{1} << (shift - 1)
+                                                   : 0);
+  const __m128i count = _mm_cvtsi32_si128(shift);
+  const __m512i xhat_half = _mm512_set1_epi64(int64_t{1} << (kXhatShift - 1));
+  const __m512i hi = _mm512_set1_epi64(127);
+  const __m512i lo = _mm512_set1_epi64(-127);
+  const auto mask_at = [h](int64_t c0) {
+    return static_cast<__mmask8>(h - c0 >= 8 ? 0xFF
+                                             : (uint32_t{1} << (h - c0)) - 1);
+  };
+  for (int64_t r = 0; r < rows; ++r) {
+    const int32_t* xr = x + r * h;
+    int8_t* orow = out + r * h;
+    __m512i acc = _mm512_setzero_si512();
+    for (int64_t c0 = 0; c0 < h; c0 += 8)
+      acc = _mm512_add_epi64(acc, _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(
+                                      mask_at(c0), xr + c0)));
+    const __m512i mu = _mm512_set1_epi64(
+        IntLayerNorm::row_mean(_mm512_reduce_add_epi64(acc), h));
+
+    acc = _mm512_setzero_si512();
+    for (int64_t c0 = 0; c0 < h; c0 += 8) {
+      const __mmask8 mask = mask_at(c0);
+      const __m512i d = _mm512_maskz_sub_epi64(
+          mask, _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(mask, xr + c0)),
+          mu);
+      acc = _mm512_add_epi64(acc, _mm512_mullo_epi64(d, d));
+    }
+    const __m512i inv_std = _mm512_set1_epi64(
+        IntLayerNorm::inv_std_of(_mm512_reduce_add_epi64(acc), h));
+
+    for (int64_t c0 = 0; c0 < h; c0 += 8) {
+      const __mmask8 mask = mask_at(c0);
+      const __m512i d = _mm512_sub_epi64(
+          _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(mask, xr + c0)), mu);
+      __m512i v = _mm512_mullo_epi64(d, inv_std);
+      v = _mm512_srai_epi64(
+          _mm512_add_epi64(_mm512_add_epi64(v, xhat_half),
+                           _mm512_srai_epi64(v, 63)),
+          kXhatShift);
+      // |d| <= sqrt(var_acc) <= sqrt(1.5 h var), so |xhat| is about
+      // 2^10 sqrt(1.5 h) at most, and |xhat * gamma| below 2^7 times
+      // that: both fit in int32 for rows of up to 2^27 features, where
+      // the 32 x 32 -> 64 vpmuldq is exact (the multiplier is < 2^31).
+      v = _mm512_mul_epi32(
+          v, _mm512_cvtepi8_epi64(_mm_maskz_loadu_epi8(mask, gamma + c0)));
+      v = _mm512_mul_epi32(v, mv);
+      if (shift > 0)
+        v = _mm512_sra_epi64(
+            _mm512_add_epi64(_mm512_add_epi64(v, half), _mm512_srai_epi64(v, 63)),
+            count);
+      v = _mm512_add_epi64(
+          v, _mm512_cvtepi32_epi64(_mm256_maskz_loadu_epi32(mask, beta + c0)));
+      v = _mm512_max_epi64(_mm512_min_epi64(v, hi), lo);
+      _mm512_mask_cvtepi64_storeu_epi8(orow + c0, mask, v);
+    }
+  }
+}
+
 }  // namespace fqbert::core::kernels
 
 #else  // !__x86_64__: kernel_target_supported() never selects this target.
@@ -169,6 +242,10 @@ void gemm_vnni(const int8_t*, int64_t, int64_t, int64_t, const int8_t*,
 }
 void requant_vnni(const int32_t*, const int32_t*, int64_t, int, int8_t*,
                   int64_t, int64_t) {
+  std::abort();
+}
+void layernorm_vnni(const quant::IntLayerNorm&, const int32_t*, int8_t*,
+                    int64_t) {
   std::abort();
 }
 

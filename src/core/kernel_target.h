@@ -1,8 +1,9 @@
 // Kernel target selection for src/core/int_kernels (internal header: the
 // engine and its tests include it; nothing else should).
 //
-// Three targets run the same tile GEMM and requantizer: AVX-512 VNNI,
-// AVX2 (x86-64 CPUs without VNNI) and portable C++ (everything else).
+// Three targets run the same tile GEMM, requantizer and LayerNorm rows:
+// AVX-512 VNNI, AVX2 (x86-64 CPUs without VNNI) and portable C++
+// (everything else).
 // The process runs the best one its CPU supports, chosen once from
 // __builtin_cpu_supports; there is no flag, variable or config field
 // that selects it. ScopedKernelTarget lets a test or bench run its own
@@ -10,6 +11,10 @@
 #pragma once
 
 #include <cstdint>
+
+namespace fqbert::quant {
+class IntLayerNorm;
+}
 
 namespace fqbert::core {
 
@@ -51,14 +56,17 @@ class ScopedKernelTarget {
 
 namespace kernels {
 
-// Per-target entry points behind gemm_tiles / requantize_i8 (same
-// contracts as those; `mult` and `shift` come from a Requantizer).
+// Per-target entry points behind gemm_tiles / requantize_i8 /
+// layernorm_rows (same contracts as those; `mult` and `shift` come from
+// a Requantizer).
 using GemmFn = void (*)(const int8_t* a, int64_t lda, int64_t m, int64_t k,
                         const int8_t* tiles, const int32_t* corr, int64_t n,
                         int32_t* c, int64_t ldc);
 using RequantFn = void (*)(const int32_t* acc, const int32_t* bias,
                            int64_t mult, int shift, int8_t* out,
                            int64_t rows, int64_t cols);
+using LayerNormFn = void (*)(const quant::IntLayerNorm& ln, const int32_t* x,
+                             int8_t* out, int64_t rows);
 
 void gemm_avx2(const int8_t* a, int64_t lda, int64_t m, int64_t k,
                const int8_t* tiles, const int32_t* corr, int64_t n,
@@ -68,6 +76,8 @@ void gemm_vnni(const int8_t* a, int64_t lda, int64_t m, int64_t k,
                int32_t* c, int64_t ldc);
 void requant_vnni(const int32_t* acc, const int32_t* bias, int64_t mult,
                   int shift, int8_t* out, int64_t rows, int64_t cols);
+void layernorm_vnni(const quant::IntLayerNorm& ln, const int32_t* x,
+                    int8_t* out, int64_t rows);
 
 }  // namespace kernels
 

@@ -5,6 +5,9 @@
 // each of the 256 possible int8 input codes (scale s_in) the table holds
 // the int8 output code (scale s_out). This mirrors the softmax LUT
 // strategy of Sec. III-B.
+//
+// apply() maps one code; apply_n() maps a buffer and is what the engine
+// and the functional simulator call on the FFN1 output.
 #pragma once
 
 #include <array>
@@ -28,6 +31,14 @@ class IntGelu {
 
   int8_t apply(int8_t x) const {
     return table_[static_cast<size_t>(static_cast<int>(x) + 128)];
+  }
+
+  /// y[i] = apply(x[i]) for i < n. The table address is held in a local:
+  /// an int8 store may alias anything, so a member read inside the loop
+  /// would be reloaded on every element.
+  void apply_n(const int8_t* x, int8_t* y, size_t n) const {
+    const int8_t* table = table_.data() + 128;
+    for (size_t i = 0; i < n; ++i) y[i] = table[x[i]];
   }
 
   static double gelu_reference(double x) {

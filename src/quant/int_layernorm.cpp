@@ -6,20 +6,14 @@
 namespace fqbert::quant {
 
 uint32_t isqrt64(uint64_t v) {
-  // Classic bit-serial (shift-subtract) integer square root: exact
-  // floor(sqrt(v)) using only shifts, adds and compares — the form an
-  // FPGA LN core implements.
-  uint64_t rem = 0, root = 0;
-  for (int i = 31; i >= 0; --i) {
-    rem = (rem << 2) | ((v >> (2 * i)) & 3u);
-    root <<= 1;
-    const uint64_t trial = (root << 1) | 1u;
-    if (trial <= rem) {
-      rem -= trial;
-      root |= 1u;
-    }
-  }
-  return static_cast<uint32_t>(root);
+  // The double estimate is within one of the root (v rounds to 53 bits
+  // before the correctly rounded sqrt); the steps below make it exact.
+  // r stays <= 2^32 - 1, so r * r and (r + 1)^2 fit in 64 bits.
+  uint64_t r = static_cast<uint64_t>(std::sqrt(static_cast<double>(v)));
+  if (r > 0xFFFFFFFFull) r = 0xFFFFFFFFull;
+  while (r * r > v) --r;
+  while (r < 0xFFFFFFFFull && (r + 1) * (r + 1) <= v) ++r;
+  return static_cast<uint32_t>(r);
 }
 
 IntLayerNorm::IntLayerNorm(const std::vector<float>& gamma,
@@ -44,34 +38,32 @@ IntLayerNorm::IntLayerNorm(const std::vector<float>& gamma,
       output_scale / std::ldexp(1.0, kXhatFracBits + kGammaFracBits));
 }
 
+int64_t IntLayerNorm::inv_std_of(int64_t var_acc, int64_t h) {
+  const int64_t var = (var_acc + h / 2) / h;
+  if (var == 0) return 0;
+  // sigma * 2^(kInvStdFracBits/2)
+  const uint32_t s = isqrt64(static_cast<uint64_t>(var) << kInvStdFracBits);
+  // inv_std = 2^kInvStdFracBits / sigma  (Q(kInvStdFracBits))
+  return ((1ll << (kInvStdFracBits + kInvStdFracBits / 2)) + s / 2) / s;
+}
+
 void IntLayerNorm::apply_row(const int32_t* x, int8_t* out) const {
   const int64_t h = features();
+  // Locals: the int8 stores below may alias anything, so a member read
+  // inside a loop would be reloaded on every element.
+  const int8_t* gamma = gamma_q_.data();
+  const int32_t* beta = beta_q_.data();
 
   int64_t sum = 0;
   for (int64_t c = 0; c < h; ++c) sum += x[c];
-  // Round-half-away-from-zero integer mean.
-  const int64_t mu = sum >= 0 ? (sum + h / 2) / h : -((-sum + h / 2) / h);
+  const int64_t mu = row_mean(sum, h);
 
   int64_t var_acc = 0;
   for (int64_t c = 0; c < h; ++c) {
     const int64_t d = x[c] - mu;
     var_acc += d * d;
   }
-  const int64_t var = (var_acc + h / 2) / h;
-
-  if (var == 0) {
-    // Constant row: xhat is zero everywhere; emit beta only.
-    for (int64_t c = 0; c < h; ++c)
-      out[c] = static_cast<int8_t>(saturate_signed(beta_q_[static_cast<size_t>(c)], 8));
-    return;
-  }
-
-  // sigma * 2^(kInvStdFracBits/2)
-  const uint32_t s =
-      isqrt64(static_cast<uint64_t>(var) << kInvStdFracBits);
-  // inv_std = 2^kInvStdFracBits / sigma  (Q(kInvStdFracBits))
-  const int64_t inv_std =
-      ((1ll << (kInvStdFracBits + kInvStdFracBits / 2)) + s / 2) / s;
+  const int64_t inv_std = inv_std_of(var_acc, h);
 
   // Branch-free per-element loop, value-identical to
   // rounding_shift_right / Requantizer::apply / saturate_signed.
@@ -88,13 +80,13 @@ void IntLayerNorm::apply_row(const int32_t* x, int8_t* out) const {
     // xhat in Q(kXhatFracBits).
     const int64_t xhat = rounding_shift_right_branchless(
         d * inv_std, kXhatShift, kXhatHalf);
-    const int64_t prod = xhat * gamma_q_[static_cast<size_t>(c)];
+    const int64_t prod = xhat * gamma[c];
     const int64_t rq =
         rq_shift > 0
             ? rounding_shift_right_branchless(prod * rq_mult, rq_shift,
                                               rq_half)
             : prod * rq_mult;
-    out[c] = clamp_i8(rq + beta_q_[static_cast<size_t>(c)]);
+    out[c] = clamp_i8(rq + beta[c]);
   }
 }
 

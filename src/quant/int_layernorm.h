@@ -15,6 +15,12 @@
 // gamma is held in Q6 8-bit fixed point and beta pre-quantized to the
 // output scale — "parameters of layer normalization to 8-bit fixed-point
 // values" (Sec. II-B).
+//
+// apply_row is the scalar row. The engine normalizes through
+// core::layernorm_rows (src/core/int_kernels.h), which runs an AVX-512
+// row kernel on that target and apply_row elsewhere; both build the
+// row constants with row_mean and inv_std_of below, so they run one
+// recipe.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +31,9 @@
 
 namespace fqbert::quant {
 
-/// Bit-serial integer square root of a 64-bit value (floor(sqrt(v))).
+/// floor(sqrt(v)), exact for every 64-bit v: the value the LN core's
+/// bit-serial (shift-subtract) root produces, computed here from a
+/// double estimate and an integer correction.
 uint32_t isqrt64(uint64_t v);
 
 class IntLayerNorm {
@@ -50,6 +58,18 @@ class IntLayerNorm {
   double output_scale() const { return output_scale_; }
   const std::vector<int8_t>& gamma_q() const { return gamma_q_; }
   const std::vector<int32_t>& beta_q() const { return beta_q_; }
+  const Requantizer& out_requant() const { return out_requant_; }
+
+  /// mu_I of a row of h codes summing to `sum`, rounded half away from
+  /// zero.
+  static int64_t row_mean(int64_t sum, int64_t h) {
+    return sum >= 0 ? (sum + h / 2) / h : -((-sum + h / 2) / h);
+  }
+
+  /// inv_std in Q(kInvStdFracBits) of a row of h codes whose squared
+  /// deviations from mu_I sum to var_acc. A constant row (var_I == 0)
+  /// gets 0, which makes every xhat 0, so the row emits beta alone.
+  static int64_t inv_std_of(int64_t var_acc, int64_t h);
 
  private:
   std::vector<int8_t> gamma_q_;  // Q6 codes

@@ -20,13 +20,23 @@ void IntSoftmax::apply_row(const int32_t* x, int32_t* out,
   int32_t mx = x[0];
   for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, x[c]);
 
+  // d = max - x is never negative, so the index's round half away from
+  // zero is a plain (d * m + half) >> shift: Requantizer::apply without
+  // its sign branch (and without its int32 narrowing, which only an
+  // index beyond 2^31 could reach), clamped to the table. Locals: the
+  // stores to out may alias the members.
+  const uint8_t* lut = lut_.data();
+  const int64_t mult = index_requant_.multiplier;
+  const int shift = index_requant_.shift;
+  const int64_t half = shift > 0 ? int64_t{1} << (shift - 1) : 0;
   int64_t sum = 0;
   for (int64_t c = 0; c < cols; ++c) {
-    const int64_t d = static_cast<int64_t>(mx) - x[c];  // >= 0
-    int32_t idx = index_requant_.apply(d);
-    idx = std::min<int32_t>(idx, kLutSize - 1);
-    out[c] = lut_[static_cast<size_t>(idx)];
-    sum += out[c];
+    const int64_t d = static_cast<int64_t>(mx) - x[c];
+    const int64_t idx = std::min<int64_t>((d * mult + half) >> shift,
+                                          kLutSize - 1);
+    const int32_t n = lut[idx];
+    out[c] = n;
+    sum += n;
   }
   // sum >= 255 because the max element maps to LUT[0] = 255.
   // p = round(255 * n / sum) = floor((510 * n + sum) / (2 * sum)),

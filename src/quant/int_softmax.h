@@ -11,6 +11,10 @@
 //   idx_i = round(d_i / (s_x * step))       (integer requant, clamped 255)
 //   n_i   = LUT[idx_i] = round(255*exp(-idx_i*step))   (8-bit numerator)
 //   p_i   = round(255 * n_i / sum_j n_j)    (8-bit probability, scale 255)
+//
+// apply_row is the bulk entry point: one row over raw pointers, the LUT
+// and the index multiplier held in locals so the output stores cannot
+// force them to be reloaded per element.
 #pragma once
 
 #include <array>

@@ -13,6 +13,7 @@
 // is exactly one reference implementation to keep in sync.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -84,6 +85,127 @@ inline void requantize_i8(const std::vector<int32_t>& acc,
     }
 }
 
+/// The LN core's bit-serial (shift-subtract) floor(sqrt(v)).
+inline uint32_t isqrt64(uint64_t v) {
+  uint64_t rem = 0, root = 0;
+  for (int i = 31; i >= 0; --i) {
+    rem = (rem << 2) | ((v >> (2 * i)) & 3u);
+    root <<= 1;
+    const uint64_t trial = (root << 1) | 1u;
+    if (trial <= rem) {
+      rem -= trial;
+      root |= 1u;
+    }
+  }
+  return static_cast<uint32_t>(root);
+}
+
+/// The seed's scalar IntLayerNorm::apply_row over ln's quantized
+/// parameters: bit-serial root, sign-branching rounding helpers. The
+/// requantized product stays int64 up to the saturation, as in the
+/// engine.
+inline void layernorm_row(const quant::IntLayerNorm& ln, const int32_t* x,
+                          int8_t* out) {
+  using quant::IntLayerNorm;
+  const int64_t h = ln.features();
+
+  int64_t sum = 0;
+  for (int64_t c = 0; c < h; ++c) sum += x[c];
+  // Round-half-away-from-zero integer mean.
+  const int64_t mu = sum >= 0 ? (sum + h / 2) / h : -((-sum + h / 2) / h);
+
+  int64_t var_acc = 0;
+  for (int64_t c = 0; c < h; ++c) {
+    const int64_t d = x[c] - mu;
+    var_acc += d * d;
+  }
+  const int64_t var = (var_acc + h / 2) / h;
+
+  if (var == 0) {
+    // Constant row: xhat is zero everywhere; emit beta only.
+    for (int64_t c = 0; c < h; ++c)
+      out[c] = static_cast<int8_t>(
+          quant::saturate_signed(ln.beta_q()[static_cast<size_t>(c)], 8));
+    return;
+  }
+
+  // sigma * 2^(kInvStdFracBits/2)
+  const uint32_t s =
+      isqrt64(static_cast<uint64_t>(var) << IntLayerNorm::kInvStdFracBits);
+  // inv_std = 2^kInvStdFracBits / sigma  (Q(kInvStdFracBits))
+  const int64_t inv_std =
+      ((1ll << (IntLayerNorm::kInvStdFracBits +
+                IntLayerNorm::kInvStdFracBits / 2)) +
+       s / 2) /
+      s;
+
+  constexpr int kXhatShift =
+      IntLayerNorm::kInvStdFracBits - IntLayerNorm::kXhatFracBits;
+  for (int64_t c = 0; c < h; ++c) {
+    const int64_t d = x[c] - mu;
+    // xhat in Q(kXhatFracBits).
+    const int64_t xhat = quant::rounding_shift_right(d * inv_std, kXhatShift);
+    const int64_t prod = xhat * ln.gamma_q()[static_cast<size_t>(c)];
+    const int64_t rq = quant::rounding_shift_right(
+        prod * ln.out_requant().multiplier, ln.out_requant().shift);
+    out[c] = static_cast<int8_t>(quant::saturate_signed(
+        rq + ln.beta_q()[static_cast<size_t>(c)], 8));
+  }
+}
+
+/// The seed's scalar IntSoftmax::apply_row over sm's LUT and index
+/// requantizer: a division per probability.
+inline void softmax_row(const quant::IntSoftmax& sm, const int32_t* x,
+                        int32_t* out, int64_t cols) {
+  int32_t mx = x[0];
+  for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, x[c]);
+
+  int64_t sum = 0;
+  for (int64_t c = 0; c < cols; ++c) {
+    const int64_t d = static_cast<int64_t>(mx) - x[c];  // >= 0
+    int32_t idx = sm.index_requant().apply(d);
+    idx = std::min<int32_t>(idx, quant::IntSoftmax::kLutSize - 1);
+    out[c] = sm.lut()[static_cast<size_t>(idx)];
+    sum += out[c];
+  }
+  // p = round(255 * n / sum), all-integer.
+  for (int64_t c = 0; c < cols; ++c)
+    out[c] = static_cast<int32_t>(
+        (static_cast<int64_t>(out[c]) * 255 * 2 + sum) / (2 * sum));
+}
+
+/// layer.apply_softmax with the integer rows above (the float fallback
+/// is the layer's own).
+inline void oracle_softmax(const FqEncoderLayer& layer,
+                           const std::vector<int32_t>& scores,
+                           std::vector<int32_t>& probs, int64_t s_len) {
+  if (!layer.use_int_softmax) {
+    oracle_softmax(layer, scores, probs, s_len);
+    return;
+  }
+  probs.resize(static_cast<size_t>(s_len * s_len));
+  for (int64_t r = 0; r < s_len; ++r)
+    softmax_row(*layer.softmax, scores.data() + r * s_len,
+                probs.data() + r * s_len, s_len);
+}
+
+/// layer.apply_layernorm with the integer rows above (the float
+/// fallback is the layer's own).
+inline void oracle_layernorm(const FqEncoderLayer& layer,
+                             const std::vector<int32_t>& res,
+                             std::vector<int8_t>& out, int64_t s_len,
+                             bool first) {
+  if (!layer.use_int_layernorm) {
+    layer.apply_layernorm(res, out, s_len, first);
+    return;
+  }
+  const int64_t h = layer.hidden;
+  out.resize(static_cast<size_t>(s_len * h));
+  for (int64_t r = 0; r < s_len; ++r)
+    layernorm_row(first ? *layer.ln1 : *layer.ln2, res.data() + r * h,
+                  out.data() + r * h);
+}
+
 /// A QuantLinear plus its row-major int8 codes (seed layout).
 struct OracleLinear {
   const QuantLinear* ql = nullptr;
@@ -148,7 +270,7 @@ inline void oracle_layer_forward(const OracleLayer& ol,
       std::copy(vrow, vrow + head_dim, vh.data() + r * head_dim);
     }
     int_matmul_wt(qh, kh, scores, s_len, head_dim, s_len);
-    layer.apply_softmax(scores, probs, s_len);
+    oracle_softmax(layer, scores, probs, s_len);
     int_matmul_pv(probs, vh, ctx_acc, s_len, s_len, head_dim);
     for (int64_t r = 0; r < s_len; ++r) {
       int8_t* crow = ctx.data() + r * hidden + h * head_dim;
@@ -169,7 +291,7 @@ inline void oracle_layer_forward(const OracleLayer& ol,
         layer.res1_rq.apply(x[static_cast<size_t>(i)]);
 
   std::vector<int8_t> ffn_x;
-  layer.apply_layernorm(res, ffn_x, s_len, /*first=*/true);
+  oracle_layernorm(layer, res, ffn_x, s_len, /*first=*/true);
 
   std::vector<int8_t> pre, mid, fo;
   oracle_linear(ol.ffn1, ffn_x, pre, s_len);
@@ -181,7 +303,7 @@ inline void oracle_layer_forward(const OracleLayer& ol,
     res[static_cast<size_t>(i)] =
         static_cast<int32_t>(fo[static_cast<size_t>(i)]) +
         layer.res2_rq.apply(ffn_x[static_cast<size_t>(i)]);
-  layer.apply_layernorm(res, y, s_len, /*first=*/false);
+  oracle_layernorm(layer, res, y, s_len, /*first=*/false);
 }
 
 /// Seed encoder stack over the oracle path (x consumed by value, like

@@ -34,9 +34,10 @@ inline std::string kernel_target_param_name(
   return kernel_target_name(info.param);
 }
 
-#define FQBERT_INSTANTIATE_KERNEL_TARGETS(suite)                      \
-  INSTANTIATE_TEST_SUITE_P(AllTargets, suite,                         \
-                           ::testing::ValuesIn(kAllKernelTargets),    \
-                           kernel_target_param_name)
+#define FQBERT_INSTANTIATE_KERNEL_TARGETS(suite)                         \
+  INSTANTIATE_TEST_SUITE_P(                                              \
+      AllTargets, suite,                                                 \
+      ::testing::ValuesIn(::fqbert::core::kAllKernelTargets),            \
+      ::fqbert::core::kernel_target_param_name)
 
 }  // namespace fqbert::core

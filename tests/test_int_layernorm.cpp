@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
+#include "core/int_kernels.h"
+#include "fq_oracle.h"
+#include "kernel_targets.h"
 #include "quant/int_layernorm.h"
 #include "tensor/rng.h"
 
@@ -28,6 +32,20 @@ TEST(Isqrt64, LargeValues) {
   EXPECT_EQ(isqrt64(0), 0u);
   EXPECT_EQ(isqrt64(1), 1u);
   EXPECT_EQ(isqrt64(4), 2u);
+}
+
+TEST(Isqrt64, MatchesBitSerialRoot) {
+  // Random values over the whole 64-bit range, squares and their
+  // neighbours, and the top of the range, against the LN core's
+  // shift-subtract root.
+  std::mt19937_64 gen(12);
+  std::vector<uint64_t> vs = {~0ull, ~0ull - 1, 0xFFFFFFFE00000001ull,
+                              0xFFFFFFFE00000000ull, 1ull << 63};
+  for (int i = 0; i < 20000; ++i) vs.push_back(gen() >> (i % 64));
+  for (uint64_t r = 1; r < (1ull << 32); r = r * 3 + 1)
+    for (uint64_t v : {r * r - 1, r * r, r * r + 1}) vs.push_back(v);
+  for (uint64_t v : vs)
+    EXPECT_EQ(isqrt64(v), core::oracle::isqrt64(v)) << "v=" << v;
 }
 
 std::vector<float> ref_layernorm(const std::vector<int32_t>& x,
@@ -162,6 +180,54 @@ TEST(IntLayerNorm, MultiRowApply) {
   for (int64_t i = 0; i < h; ++i)
     EXPECT_EQ(out[static_cast<size_t>(h + i)], row1[static_cast<size_t>(i)]);
 }
+
+// Rows through the engine's per-target entry (core::layernorm_rows) and
+// the scalar apply, against the test oracle's independent seed row.
+class IntLayerNormRows : public core::KernelTargetTest {};
+
+TEST_P(IntLayerNormRows, MatchOracleRow) {
+  Rng rng(31);
+  for (const int64_t h : {64, 768, 1, 7, 61}) {
+    std::vector<float> gamma(static_cast<size_t>(h)),
+        beta(static_cast<size_t>(h));
+    // |gamma| past the Q6 maximum and |beta| past the output range
+    // saturate; both signs occur.
+    for (auto& g : gamma) g = static_cast<float>(rng.uniform(-2.5, 2.5));
+    for (auto& b : beta) b = static_cast<float>(rng.uniform(-3.0, 3.0));
+    for (const double out_scale : {20.0, 60.0}) {
+      const IntLayerNorm ln(gamma, beta, out_scale);
+      // Six shaped rows, then random rows of random amplitude: enough
+      // elements that xhat and the output requantization hit exact
+      // rounding ties on both signs.
+      constexpr int64_t kShaped = 6, kRows = kShaped + 100;
+      std::vector<int32_t> x(static_cast<size_t>(kRows * h));
+      for (int64_t c = 0; c < h; ++c) {
+        int32_t* col = x.data() + c;
+        col[0] = -37;                                          // constant
+        col[h] = static_cast<int32_t>(rng.randint(-60, 60));   // mixed signs
+        col[2 * h] = static_cast<int32_t>(rng.randint(-(1 << 22), 1 << 22));
+        col[3 * h] = c == h / 2 ? 5000 : 3;                    // one spike
+        col[4 * h] = static_cast<int32_t>(rng.randint(-900, -800));
+        col[5 * h] = c % 2 == 0 ? 127 : -127;
+      }
+      for (int64_t r = kShaped; r < kRows; ++r) {
+        const int64_t amp = rng.randint(1, int64_t{1} << rng.randint(1, 20));
+        for (int64_t c = 0; c < h; ++c)
+          x[static_cast<size_t>(r * h + c)] =
+              static_cast<int32_t>(rng.randint(-amp, amp));
+      }
+      std::vector<int8_t> want(x.size()), got(x.size()), scalar;
+      for (int64_t r = 0; r < kRows; ++r)
+        core::oracle::layernorm_row(ln, x.data() + r * h, want.data() + r * h);
+      core::layernorm_rows(ln, x.data(), got.data(), kRows);
+      ln.apply(x, scalar, kRows);
+      EXPECT_EQ(got, want) << "h=" << h << " out_scale=" << out_scale;
+      EXPECT_EQ(scalar, want) << "h=" << h << " out_scale=" << out_scale;
+    }
+  }
+}
+
+FQBERT_INSTANTIATE_KERNEL_TARGETS(IntLayerNormRows);
 
 }  // namespace
 }  // namespace fqbert::quant

@@ -3,6 +3,8 @@
 
 #include <cmath>
 
+#include "fq_oracle.h"
+#include "kernel_targets.h"
 #include "quant/int_softmax.h"
 #include "tensor/rng.h"
 
@@ -129,6 +131,30 @@ TEST(IntSoftmax, MaxElementDominatesAfterLargeGap) {
   EXPECT_GE(p[0], 250);
   for (size_t i = 1; i < 4; ++i) EXPECT_LE(p[i], 2);
 }
+
+// Rows of 1..128 columns against the test oracle's independent seed
+// row, on every kernel target. Scores spread up to ~40 LUT ranges, so
+// most rows hit the index clamp at 255; the narrow rows do not.
+class IntSoftmaxRows : public core::KernelTargetTest {};
+
+TEST_P(IntSoftmaxRows, MatchOracleRow) {
+  Rng rng(41);
+  for (const double scale : {0.5, 4.0, 40.0}) {
+    const IntSoftmax sm(scale);
+    for (int64_t cols = 1; cols <= 128; ++cols) {
+      const double spread = cols % 3 == 0 ? 0.5 : 40.0 * IntSoftmax::kRange;
+      const auto range = static_cast<int64_t>(spread * scale) + 1;
+      std::vector<int32_t> x(static_cast<size_t>(cols));
+      for (auto& v : x) v = static_cast<int32_t>(rng.randint(-range, range));
+      std::vector<int32_t> got(x.size()), want(x.size());
+      sm.apply_row(x.data(), got.data(), cols);
+      core::oracle::softmax_row(sm, x.data(), want.data(), cols);
+      EXPECT_EQ(got, want) << "scale=" << scale << " cols=" << cols;
+    }
+  }
+}
+
+FQBERT_INSTANTIATE_KERNEL_TARGETS(IntSoftmaxRows);
 
 }  // namespace
 }  // namespace fqbert::quant

@@ -2,7 +2,10 @@
 // keying, and the end-to-end quantize pipeline in fast mode.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
 
 #include "pipeline/pipeline.h"
 
@@ -77,10 +80,21 @@ TEST(Pipeline, EndToEndFastQuantizePipeline) {
 
 TEST(Pipeline, FloatCheckpointCacheIsKeyedOnConfigAndSeed) {
   namespace fs = std::filesystem;
+  // Per-process name: concurrent suite runs on one machine must not
+  // share (and count or delete) each other's checkpoints.
   const std::string cache_dir =
-      (fs::temp_directory_path() / "fqbert_cache_key_test").string();
+      (fs::temp_directory_path() /
+       ("fqbert_cache_key_test_" + std::to_string(::getpid())))
+          .string();
   fs::remove_all(cache_dir);
   fs::create_directories(cache_dir);
+  struct RemoveAtExit {
+    std::string dir;
+    ~RemoveAtExit() {
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+    }
+  } const cleanup{cache_dir};
 
   TaskData t = make_named_task("sst2", /*fast=*/true);
   t.train.resize(60);
@@ -111,7 +125,6 @@ TEST(Pipeline, FloatCheckpointCacheIsKeyedOnConfigAndSeed) {
   EXPECT_EQ(std::distance(fs::directory_iterator(cache_dir),
                           fs::directory_iterator{}),
             3);
-  fs::remove_all(cache_dir);
 }
 
 TEST(Pipeline, MnliGeneratorUsesCompactContentVocab) {
