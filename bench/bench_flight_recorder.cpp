@@ -4,8 +4,8 @@
 //
 //   1. record() must cost <= 100 ns/event on the hot path (thread-local
 //      ring lookup + clock_gettime + uncontended mutex + slot write);
-//   2. the InferenceServer's p50 with the recorder enabled must stay
-//      within 2% of the same server with record() short-circuited
+//   2. a one-lane ModelRouter's p50 with the recorder enabled must stay
+//      within 2% of the same router with record() short-circuited
 //      (set_enabled(false) — the A/B switch exists for this bench).
 //
 // The A/B runs interleave off,on,off,on,...,off and each ON run is
@@ -21,13 +21,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "serve/flight_recorder.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
+#include "serve/router/model_router.h"
 
 namespace {
 
@@ -52,19 +53,23 @@ double record_burst_ns(size_t iters) {
 }
 
 /// One closed-loop serve run; returns the exact sample p50 in ms,
-/// computed from the raw per-request rows. The server's own sketch is
+/// computed from the raw per-request rows. The router's own sketch is
 /// mergeable-but-bucketed (~6% relative error per bucket), far coarser
 /// than the 2% bound this bench enforces, so it cannot be the ruler.
 double serve_p50_ms(serve::EngineRegistry& registry,
                     const nn::BertConfig& mcfg,
                     const serve::LoadgenConfig& lcfg) {
-  serve::ServerConfig scfg;
-  scfg.num_workers = 2;
-  scfg.batcher.max_batch = 8;
-  serve::InferenceServer server(registry, "bench", scfg);
-  server.start();
-  const serve::LoadgenReport report = serve::run_loadgen(server, mcfg, lcfg);
-  server.shutdown(/*drain=*/true);
+  serve::RouterConfig rcfg;
+  rcfg.num_workers = 2;
+  rcfg.max_batch = 8;
+  serve::ModelRouter router(registry, rcfg);
+  if (!router.add_model("bench")) {
+    std::fprintf(stderr, "FAIL: cannot open the bench lane\n");
+    std::exit(1);
+  }
+  router.start();
+  const serve::LoadgenReport report = serve::run_loadgen(router, mcfg, lcfg);
+  router.shutdown(/*drain=*/true);
   std::vector<int64_t> lat;
   lat.reserve(report.records.size());
   for (const serve::RequestRecord& r : report.records)

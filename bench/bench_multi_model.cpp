@@ -1,10 +1,10 @@
-// Multi-tenant router bench: K models served by ONE ModelRouter process
-// (one shared worker set, per-model lanes) versus K dedicated
-// single-model InferenceServers — the pre-router deployment shape. The
-// same closed-loop per-model client streams drive both setups; every
-// response from the router is verified bit-identical to the dedicated
-// server's response for the same example, and per-model p50/p95 plus
-// aggregate throughput are reported for both.
+// Multi-tenant router bench: K models served by ONE ModelRouter (one
+// shared worker set, per-model lanes) versus K dedicated single-lane
+// routers with one worker each — one server per model. The same
+// closed-loop per-model client streams drive both setups; every
+// response from the shared router is verified bit-identical to the
+// dedicated router's response for the same example, and per-model
+// p50/p95 plus aggregate throughput are reported for both.
 //
 //   ./build/bench/bench_multi_model [--fast]
 #include <algorithm>
@@ -100,22 +100,22 @@ int main(int argc, char** argv) {
           models[m].config));
   }
 
-  serve::BatcherConfig batcher;
-  batcher.max_batch = 8;
+  constexpr int64_t kMaxBatch = 8;
 
   // -------------------------------------------------------------------
-  // Setup A: K dedicated single-model servers, 1 worker each.
+  // Setup A: K dedicated single-lane routers, 1 worker each.
   // -------------------------------------------------------------------
+  serve::RouterConfig dedicated_cfg;
+  dedicated_cfg.num_workers = 1;
+  dedicated_cfg.max_batch = kMaxBatch;
   std::vector<serve::EngineRegistry> registries(K);
-  std::vector<std::unique_ptr<serve::InferenceServer>> dedicated;
+  std::vector<std::unique_ptr<serve::ModelRouter>> dedicated;
   for (size_t m = 0; m < K; ++m) {
     registries[m].register_model(models[m].name, models[m].engine);
-    serve::ServerConfig scfg;
-    scfg.num_workers = 1;
-    scfg.batcher = batcher;
-    dedicated.push_back(std::make_unique<serve::InferenceServer>(
-        registries[m], models[m].name, scfg));
-    if (!dedicated.back()->start()) return 1;
+    dedicated.push_back(
+        std::make_unique<serve::ModelRouter>(registries[m], dedicated_cfg));
+    if (!dedicated.back()->add_model(models[m].name)) return 1;
+    dedicated.back()->start();
   }
 
   std::vector<std::vector<serve::ServeResponse>> dedicated_responses(K);
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
                i += kClientsPerModel) {
             const double s = now_s();
             dedicated_responses[m][i] =
-                dedicated[m]->submit(workloads[m][i]).get();
+                dedicated[m]->submit("", workloads[m][i]).get();
             const double ms = (now_s() - s) * 1e3;
             static std::mutex mu;
             std::lock_guard<std::mutex> lock(mu);
@@ -147,17 +147,17 @@ int main(int argc, char** argv) {
     for (auto& t : threads) t.join();
   }
   const double dedicated_wall = now_s() - t0;
-  for (auto& server : dedicated) server->shutdown(/*drain=*/true);
+  for (auto& d : dedicated) d->shutdown(/*drain=*/true);
 
   // -------------------------------------------------------------------
-  // Setup B: ONE router process, K lanes, K shared workers.
+  // Setup B: ONE router, K lanes, K shared workers.
   // -------------------------------------------------------------------
   serve::EngineRegistry registry;
   for (const ModelSpec& spec : models)
     registry.register_model(spec.name, spec.engine);
   serve::RouterConfig rcfg;
   rcfg.num_workers = static_cast<int>(K);
-  rcfg.batcher = batcher;
+  rcfg.max_batch = kMaxBatch;
   serve::ModelRouter router(registry, rcfg);
   for (const ModelSpec& spec : models)
     if (!router.add_model(spec.name)) return 1;
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
             const serve::ServeResponse resp =
                 router.submit(models[m].name, workloads[m][i]).get();
             const double ms = (now_s() - s) * 1e3;
-            // Bit-for-bit against the dedicated server's answer.
+            // Bit-for-bit against the dedicated router's answer.
             const serve::ServeResponse& ref = dedicated_responses[m][i];
             if (resp.status != serve::RequestStatus::kOk ||
                 ref.status != serve::RequestStatus::kOk ||
@@ -205,10 +205,10 @@ int main(int argc, char** argv) {
   std::printf("%zu models x %d requests, %d closed-loop clients per model, "
               "batch %lld (hw threads: %u)\n",
               K, per_model, kClientsPerModel,
-              static_cast<long long>(batcher.max_batch),
+              static_cast<long long>(kMaxBatch),
               std::thread::hardware_concurrency());
   print_rule();
-  std::printf("%-14s %-26s %-26s\n", "", "K dedicated servers",
+  std::printf("%-14s %-26s %-26s\n", "", "K dedicated routers",
               "one router, K lanes");
   std::printf("%-14s %8s %8s %8s %8s %8s %8s\n", "model", "p50 ms",
               "p95 ms", "ok", "p50 ms", "p95 ms", "ok");

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   serve::RouterConfig rcfg;
   rcfg.num_workers = 1;
-  rcfg.batcher.max_batch = 8;
+  rcfg.max_batch = 8;
 
   serve::ModelRouter router(registry, rcfg);
   if (!router.add_model("bench")) return 1;

@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
     if (bits != 8 && !registry.register_derived("sst2", bits)) return 1;
   serve::RouterConfig rcfg;
   rcfg.num_workers = 2;
-  rcfg.batcher.max_batch = 8;
+  rcfg.max_batch = 8;
   serve::ModelRouter router(registry, rcfg);
   if (!router.add_model("sst2") || !router.start()) return 1;
 
@@ -277,7 +277,7 @@ int main(int argc, char** argv) {
   std::printf("one model, %zu tiers, %d requests/tier, %d closed-loop "
               "clients, batch %lld\n",
               kTiers.size(), per_tier, kClients,
-              static_cast<long long>(rcfg.batcher.max_batch));
+              static_cast<long long>(rcfg.max_batch));
   print_rule();
   std::printf("%-6s %10s %12s %10s %10s %8s\n", "tier", "accuracy",
               "weights KB", "p50 ms", "p95 ms", "ok");

@@ -1,4 +1,4 @@
-// Serving throughput: dynamic batching and engine-pool scaling.
+// Serving throughput: dynamic batching and worker scaling.
 //
 // Three measurements over the same synthetic request mix:
 //   1. sequential batch-1 baseline — a bare loop over forward(), the
@@ -6,7 +6,7 @@
 //   2. engine-level batched throughput — forward_batch() on ragged
 //      packed batches, isolating the packed-matmul win from the
 //      serving machinery;
-//   3. the InferenceServer under a closed-loop client, sweeping
+//   3. a one-lane ModelRouter under a closed-loop client, sweeping
 //      worker count x max batch over a seq-length mix. This part is a
 //      gate: it exits 1 when a batched row serves fewer req/s than the
 //      batch=1 row at the same worker count, beyond a stated noise
@@ -27,7 +27,7 @@
 
 #include "bench_common.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
+#include "serve/router/model_router.h"
 
 namespace {
 
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   const std::vector<int64_t> batch_sizes = {1, 8, 16};
 
   print_rule();
-  std::printf("InferenceServer, closed loop: 16 clients x %d requests, "
+  std::printf("one-lane ModelRouter, closed loop: 16 clients x %d requests, "
               "median of %d rounds (hw threads: %u)\n",
               requests_per_client, rounds,
               std::thread::hardware_concurrency());
@@ -144,14 +144,15 @@ int main(int argc, char** argv) {
   for (int r = 0; r < rounds; ++r) {
     double batch1_rps = 0.0;
     for (Row& row : rows) {
-      serve::ServerConfig scfg;
-      scfg.num_workers = static_cast<int>(row.workers);
-      scfg.batcher.max_batch = row.batch;
-      serve::InferenceServer server(registry, "bench", scfg);
-      server.start();
-      const serve::LoadgenReport lg = serve::run_loadgen(server, mcfg, lcfg);
-      server.shutdown(/*drain=*/true);
-      const serve::ServeStats::Report st = server.stats().report();
+      serve::RouterConfig rcfg;
+      rcfg.num_workers = static_cast<int>(row.workers);
+      rcfg.max_batch = row.batch;
+      serve::ModelRouter router(registry, rcfg);
+      if (!router.add_model("bench")) return 1;
+      router.start();
+      const serve::LoadgenReport lg = serve::run_loadgen(router, mcfg, lcfg);
+      router.shutdown(/*drain=*/true);
+      const serve::ServeStats::Report st = *router.stats_report("bench");
       if (row.batch == 1) batch1_rps = lg.throughput_rps();
       row.rps.push_back(lg.throughput_rps());
       row.vs_b1.push_back(lg.throughput_rps() / batch1_rps);

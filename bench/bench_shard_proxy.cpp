@@ -59,7 +59,7 @@ struct BackendHost {
           std::string, std::shared_ptr<const core::FqBertModel>>>& models) {
     serve::RouterConfig rcfg;
     rcfg.num_workers = 1;
-    rcfg.batcher.max_batch = 8;
+    rcfg.max_batch = 8;
     router = std::make_unique<serve::ModelRouter>(registry, rcfg);
     for (const auto& [name, engine] : models) {
       registry.register_model(name, engine);
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   ref_registry.register_model("m2", e2);
   serve::RouterConfig rcfg;
   rcfg.num_workers = 1;
-  rcfg.batcher.max_batch = 8;
+  rcfg.max_batch = 8;
   serve::ModelRouter reference(ref_registry, rcfg);
   reference.add_model("m0");
   reference.add_model("m1");

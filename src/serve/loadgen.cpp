@@ -6,6 +6,7 @@
 
 #include "platform/thread_annotations.h"
 #include "serve/net/transport_client.h"
+#include "serve/router/model_router.h"
 
 namespace fqbert::serve {
 
@@ -85,7 +86,7 @@ nn::Example synth_example(Rng& rng, int64_t seq_len,
   return ex;
 }
 
-LoadgenReport run_loadgen(InferenceServer& server,
+LoadgenReport run_loadgen(ModelRouter& router,
                           const nn::BertConfig& engine_config,
                           const LoadgenConfig& cfg) {
   LoadgenReport report;
@@ -103,7 +104,7 @@ LoadgenReport run_loadgen(InferenceServer& server,
             synth_example(rng, pick_len(rng, cfg, engine_config),
                           engine_config);
         const TimePoint sent_at = Clock::now();
-        auto fut = server.submit(std::move(ex), cfg.deadline_budget);
+        auto fut = router.submit("", std::move(ex), cfg.deadline_budget);
         ++tally.sent;
         const ServeResponse resp = fut.get();  // closed loop
         const int64_t wall = us_since(sent_at);

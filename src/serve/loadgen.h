@@ -6,11 +6,13 @@
 #pragma once
 
 #include "serve/quantile_sketch.h"
-#include "serve/server.h"
+#include "serve/request_queue.h"
 #include "serve/trace.h"
 #include "tensor/rng.h"
 
 namespace fqbert::serve {
+
+class ModelRouter;
 
 struct LoadgenConfig {
   int num_clients = 4;
@@ -79,16 +81,17 @@ struct LoadgenReport {
 
 /// Random token sequence shaped like the engine's inputs (token 0
 /// reserved as [CLS]-ish anchor so batched CLS rows are well-defined).
-/// Always admissible by InferenceServer::valid_example for the same
-/// config: length clamped to [min(2, max_seq_len), max_seq_len], token
-/// ids within vocab — degenerate configs (max_seq_len or vocab_size of
-/// 1) are handled instead of feeding inverted ranges to clamp/randint.
+/// Always admitted by a router lane serving the same config: length
+/// clamped to [min(2, max_seq_len), max_seq_len], token ids within
+/// vocab — degenerate configs (max_seq_len or vocab_size of 1) are
+/// handled instead of feeding inverted ranges to clamp/randint.
 nn::Example synth_example(Rng& rng, int64_t seq_len,
                           const nn::BertConfig& config);
 
-/// Drive `server` closed-loop; blocks until every client finishes.
-/// An empty seq_len_mix falls back to the engine's max_seq_len.
-LoadgenReport run_loadgen(InferenceServer& server,
+/// Drive `router`'s default model closed-loop; blocks until every
+/// client finishes. An empty seq_len_mix falls back to the engine's
+/// max_seq_len.
+LoadgenReport run_loadgen(ModelRouter& router,
                           const nn::BertConfig& engine_config,
                           const LoadgenConfig& cfg);
 

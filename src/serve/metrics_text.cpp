@@ -181,7 +181,8 @@ std::string render_router_metrics(const ModelRouter& router) {
   render_model_reports(out, router.all_stats());
 
   head(out, "fqbert_queue_depth",
-       "Instantaneous backlog: admission queue + batcher pending", "gauge");
+       "Instantaneous backlog: requests waiting in the admission queue",
+       "gauge");
   for (const auto& d : router.queue_depths())
     sample_u64(out, "fqbert_queue_depth", model_label(d.model, d.tier),
                d.depth);

@@ -37,13 +37,14 @@ AdmitResult RequestQueue::submit(ServeRequest&& req) {
   if (pending_.size() >= cfg_.capacity) return AdmitResult::kQueueFull;
   if (stats_) stats_->record_admitted();
   pending_.push_back(std::move(req));
-  cv_.notify_one();
   return AdmitResult::kOk;
 }
 
 bool RequestQueue::pop(std::vector<ServeRequest>& out, size_t max,
                        TimePoint now, std::vector<ServeRequest>& expired) {
   MutexLock lock(mu_);
+  // Aborting: queued work is the aborter's to fail, not ours to run.
+  if (aborted_) return false;
   for (size_t taken = 0; taken < max && !pending_.empty();) {
     ServeRequest& front = pending_.front();
     if (front.expired(now)) {
@@ -65,22 +66,15 @@ void RequestQueue::drain_into(std::vector<ServeRequest>& out) {
   }
 }
 
-bool RequestQueue::wait_until(TimePoint until) {
-  MutexLock lock(mu_);
-  // Explicit loop instead of the predicate overload: the predicate
-  // would be a lambda reading guarded members, opaque to the
-  // thread-safety analysis.
-  while (pending_.empty() && !closed_) {
-    if (cv_.wait_until(lock.native(), until) == std::cv_status::timeout)
-      break;
-  }
-  return !pending_.empty();
-}
-
 void RequestQueue::close() {
   MutexLock lock(mu_);
   closed_ = true;
-  cv_.notify_all();
+}
+
+void RequestQueue::abort() {
+  MutexLock lock(mu_);
+  closed_ = true;
+  aborted_ = true;
 }
 
 bool RequestQueue::closed() const {

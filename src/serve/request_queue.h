@@ -2,11 +2,10 @@
 // workers, with deadline-aware admission: a request whose deadline has
 // already passed (or whose queue is full) is rejected at submit time
 // instead of wasting engine cycles downstream. Admitted requests stay
-// here until a worker pops them (through the DynamicBatcher).
+// here until a router worker pops them as a batch.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -91,9 +90,9 @@ struct RequestQueueConfig {
   size_t capacity = 4096;
 };
 
-/// MPMC bounded FIFO. Producers call submit(); the batcher pops up to
-/// a batch at a time, oldest first. close() stops admissions and wakes
-/// every waiter (pending requests stay poppable).
+/// MPMC bounded FIFO. Producers call submit(); workers pop up to a
+/// batch at a time, oldest first. close() stops admissions (pending
+/// requests stay poppable); abort() also stops hand-out.
 class RequestQueue {
  public:
   /// `stats` (optional) counts each admission.
@@ -111,18 +110,20 @@ class RequestQueue {
   /// Move up to `max` live requests, oldest first, onto `out`
   /// (non-blocking). Requests whose deadline has passed by `now` move to
   /// `expired` instead and do not count against `max`. Returns false
-  /// once the queue is closed and empty: nothing more will ever come.
+  /// once the queue is closed and empty, or aborted: nothing more will
+  /// ever be handed out.
   bool pop(std::vector<ServeRequest>& out, size_t max, TimePoint now,
            std::vector<ServeRequest>& expired);
 
   /// Move every pending request out (non-blocking).
   void drain_into(std::vector<ServeRequest>& out);
 
-  /// Block until the queue is non-empty, closed, or `until` passes.
-  /// Returns true when requests may be pending.
-  bool wait_until(TimePoint until);
-
   void close();
+  /// Abort-mode shutdown: close() and stop hand-out in one step. Once
+  /// abort() returns, pop() hands out nothing, so a worker cannot run
+  /// requests the caller is about to fail; what is still queued stays
+  /// for drain_into().
+  void abort();
   bool closed() const;
   size_t size() const;
 
@@ -130,9 +131,9 @@ class RequestQueue {
   RequestQueueConfig cfg_;
   ServeStats* stats_;
   mutable Mutex mu_;
-  std::condition_variable cv_;
   std::deque<ServeRequest> pending_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
+  bool aborted_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace fqbert::serve

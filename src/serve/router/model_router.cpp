@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "serve/flight_recorder.h"
+#include "tensor/tensor_ops.h"
 
 namespace fqbert::serve {
 
@@ -16,7 +17,7 @@ int64_t now_ns() {
 }
 
 /// Cap on any worker park so a lost wakeup can only add bounded
-/// latency, mirroring DynamicBatcher::next_batch's own cap.
+/// latency.
 constexpr auto kWorkerParkCap = std::chrono::milliseconds(50);
 
 void set_error(std::string* error, const std::string& message) {
@@ -27,11 +28,164 @@ std::string lane_label(const std::string& name, int bits) {
   return "model '" + name + "' tier int" + std::to_string(bits);
 }
 
+/// True when `ex` is well-formed for an engine of shape `cfg`
+/// (non-empty, within max_seq_len, ids in range, segments aligned).
+bool example_valid_for(const nn::Example& ex, const nn::BertConfig& cfg) {
+  const int64_t len = static_cast<int64_t>(ex.tokens.size());
+  if (len < 1 || len > cfg.max_seq_len) return false;
+  if (ex.segments.size() != ex.tokens.size()) return false;
+  for (const int32_t tok : ex.tokens)
+    if (tok < 0 || tok >= cfg.vocab_size) return false;
+  for (const int32_t seg : ex.segments)
+    if (seg < 0 || seg >= cfg.num_segments) return false;
+  return true;
+}
+
+/// Resolve a request that never reached an engine; returns its age.
+int64_t resolve_unserved(ServeRequest& req, RequestStatus status,
+                         TimePoint now) {
+  ServeResponse resp;
+  resp.request_id = req.id;
+  resp.tier = req.tier;
+  resp.status = status;
+  resp.latency_us =
+      std::chrono::duration_cast<Micros>(now - req.enqueue_time).count();
+  const int64_t age_us = resp.latency_us;
+  req.promise.set_value(std::move(resp));
+  return age_us;
+}
+
+/// Execute one formed batch on `engine` and resolve every request's
+/// promise (logits + latency breakdown on success, kEngineError for the
+/// whole batch when the engine throws), recording into `stats`. `model`
+/// tags the flight-recorder worker events and any retained slow-request
+/// exemplars.
+void execute_batch(const core::FqBertModel& engine, ServeStats& stats,
+                   std::vector<ServeRequest>& batch,
+                   const std::string& model) {
+  const TimePoint formed = Clock::now();
+  std::vector<const nn::Example*> examples;
+  examples.reserve(batch.size());
+  for (const ServeRequest& req : batch) examples.push_back(&req.example);
+
+  FlightRecorder& recorder = FlightRecorder::instance();
+  const uint8_t batch_tier = batch.empty() ? 0 : batch.front().tier;
+  recorder.record(FlightEventType::kWorkerStart, model, 0, batch_tier, 0,
+                  static_cast<uint32_t>(batch.size()));
+
+  std::vector<Tensor> logits;
+  bool failed = false;
+  const TimePoint start = Clock::now();
+  try {
+    logits = engine.forward_batch(examples);
+  } catch (const std::exception&) {
+    failed = true;
+  }
+
+  const TimePoint done = Clock::now();
+  stats.record_batch(batch.size());
+  const auto rel_us = [](TimePoint t, TimePoint base) {
+    return std::chrono::duration_cast<Micros>(t - base).count();
+  };
+  recorder.record(FlightEventType::kWorkerEnd, model, 0, batch_tier, 0,
+                  static_cast<uint32_t>(batch.size()),
+                  static_cast<uint64_t>(std::max<int64_t>(
+                      rel_us(done, start), 0)));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ServeRequest& req = batch[i];
+    ServeResponse resp;
+    resp.request_id = req.id;
+    resp.tier = req.tier;
+    resp.batch_size = static_cast<int32_t>(batch.size());
+    resp.queue_us = rel_us(formed, req.enqueue_time);
+    resp.latency_us = rel_us(done, req.enqueue_time);
+    if (req.trace_id != 0) {
+      resp.trace_id = req.trace_id;
+      resp.admitted_at = req.enqueue_time;
+      resp.trace = {
+          {TraceStage::kAdmitted, 0},
+          {TraceStage::kBatchFormed, rel_us(formed, req.enqueue_time)},
+          {TraceStage::kWorkerStart, rel_us(start, req.enqueue_time)},
+          {TraceStage::kWorkerEnd, rel_us(done, req.enqueue_time)},
+      };
+    }
+    if (failed) {
+      resp.status = RequestStatus::kEngineError;
+      stats.record_failure();
+    } else {
+      resp.status = RequestStatus::kOk;
+      const Tensor& l = logits[i];
+      resp.logits.assign(l.data(), l.data() + l.numel());
+      resp.predicted = static_cast<int32_t>(argmax(l.data(), l.numel()));
+      stats.record_response(resp.latency_us, resp.queue_us);
+      // Retain a slow exemplar with its full stage breakdown, built
+      // here even for untraced requests (the timestamps exist either
+      // way; only the candidacy check rides the hot path).
+      if (recorder.slow_candidate(resp.latency_us)) {
+        recorder.note_slow(
+            model, resp.tier, req.trace_id, resp.latency_us,
+            {{TraceStage::kAdmitted, 0},
+             {TraceStage::kBatchFormed, rel_us(formed, req.enqueue_time)},
+             {TraceStage::kWorkerStart, rel_us(start, req.enqueue_time)},
+             {TraceStage::kWorkerEnd, rel_us(done, req.enqueue_time)}});
+      }
+    }
+    req.promise.set_value(std::move(resp));
+  }
+}
+
 }  // namespace
+
+ModelRouter::Lane::Take ModelRouter::Lane::take(std::vector<ServeRequest>& out,
+                                                size_t max_batch) {
+  out.clear();
+  std::vector<ServeRequest> expired;
+  const TimePoint now = Clock::now();
+  const bool open = queue.pop(out, max_batch, now, expired);
+  FlightRecorder& recorder = FlightRecorder::instance();
+  for (ServeRequest& req : expired) {
+    const int64_t age_us = resolve_unserved(req, RequestStatus::kTimedOut, now);
+    stats.record_timeout();
+    recorder.record(FlightEventType::kRequestTimedOut, name, req.trace_id,
+                    req.tier, 0, 0, static_cast<uint64_t>(age_us));
+  }
+  if (out.empty()) return open ? Take::kIdle : Take::kDrained;
+
+  // Journal the formed batch: size, longest sequence, and how long its
+  // oldest request waited — the numbers a p99 postmortem starts from.
+  uint64_t trace = 0;
+  int64_t longest = 0;
+  for (const ServeRequest& r : out) {
+    if (trace == 0) trace = r.trace_id;
+    longest = std::max(longest, r.seq_len());
+  }
+  const int64_t wait_us =
+      std::chrono::duration_cast<Micros>(now - out.front().enqueue_time)
+          .count();
+  recorder.record(FlightEventType::kBatchFormed, name, trace,
+                  static_cast<uint8_t>(tier),
+                  static_cast<uint16_t>(std::min<int64_t>(longest, 0xFFFF)),
+                  static_cast<uint32_t>(out.size()),
+                  static_cast<uint64_t>(std::max<int64_t>(wait_us, 0)));
+  return Take::kBatch;
+}
+
+void ModelRouter::Lane::fail_queued() {
+  std::vector<ServeRequest> left;
+  queue.drain_into(left);
+  const TimePoint now = Clock::now();
+  for (ServeRequest& req : left) {
+    resolve_unserved(req, RequestStatus::kShutdown, now);
+    // Shutdown-failed requests are terminal for admitted work: without
+    // this, admitted != completed + timed_out + failed at shutdown.
+    stats.record_failure();
+  }
+}
 
 ModelRouter::ModelRouter(EngineRegistry& registry, const RouterConfig& cfg)
     : registry_(registry), cfg_(cfg) {
   if (cfg_.num_workers < 1) cfg_.num_workers = 1;
+  if (cfg_.max_batch < 1) cfg_.max_batch = 1;
 }
 
 ModelRouter::~ModelRouter() { shutdown(/*drain=*/true); }
@@ -59,19 +213,22 @@ void ModelRouter::shutdown(bool drain) {
     lanes.reserve(lanes_.size());
     for (const auto& [key, lane] : lanes_) lanes.push_back(lane);
   }
-  // Same ordering discipline as InferenceServer::shutdown: in abort
-  // mode, stop batch handout BEFORE the close() wakeups, and fail
-  // leftovers only after the workers are gone.
-  if (!drain)
-    for (const auto& lane : lanes) lane->batcher.abort();
-  for (const auto& lane : lanes) lane->queue.close();
+  // Abort mode stops hand-out together with admissions, BEFORE the
+  // wakeup below — otherwise a woken worker can pop and complete
+  // requests this shutdown promised to fail (racy on multi-core) — and
+  // fails the leftovers only after the workers are gone.
+  for (const auto& lane : lanes) {
+    if (drain)
+      lane->queue.close();
+    else
+      lane->queue.abort();
+  }
   stopping_ = true;
   wake_workers();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
   if (!drain)
-    for (const auto& lane : lanes)
-      lane->batcher.fail_pending(RequestStatus::kShutdown);
+    for (const auto& lane : lanes) lane->fail_queued();
   stop_ns_ = now_ns();
 }
 
@@ -79,9 +236,6 @@ bool ModelRouter::insert_lane(
     const std::string& name, int bits,
     std::shared_ptr<const core::FqBertModel> engine, std::string* error) {
   auto lane = std::make_shared<Lane>(name, bits, std::move(engine), cfg_);
-  // Stamp the lane identity on its batcher BEFORE publication so every
-  // kBatchFormed / kRequestTimedOut journal entry names its lane.
-  lane->batcher.set_event_tag(name, static_cast<uint8_t>(bits));
   {
     MutexLock lock(lanes_mu_);
     if (!accepting_lanes_) {
@@ -204,7 +358,7 @@ bool ModelRouter::load_model(const std::string& name, const std::string& path,
 }
 
 bool ModelRouter::lane_drained(const Lane& lane) {
-  // Order-independent given inflight is raised before poll_batch: a
+  // Order-independent given inflight is raised before take(): a
   // request is always visible in the queue or under a nonzero inflight
   // (see Lane::inflight).
   return lane.queue.size() == 0 && lane.inflight.load() == 0;
@@ -226,8 +380,8 @@ void ModelRouter::retire_lane(const std::shared_ptr<Lane>& lane) {
   } else {
     // No workers will ever run this lane's work (never started, or
     // already shut down): fail whatever is parked instead of hanging.
-    lane->batcher.abort();
-    lane->batcher.fail_pending(RequestStatus::kShutdown);
+    lane->queue.abort();
+    lane->fail_queued();
   }
 
   {
@@ -297,14 +451,13 @@ std::future<ServeResponse> ModelRouter::submit(
   if (deadline_budget) req.deadline = req.enqueue_time + *deadline_budget;
   std::future<ServeResponse> fut = req.promise.get_future();
 
-  std::shared_ptr<Lane> lane;
+  // Resolve the lane even when the router is not running, so a request
+  // to a served lane that races shutdown is counted in its rejected_closed.
   bool model_known = false;
-  if (running()) {
-    lane = find_lane(model, tier, &model_known);
-    if (!lane && model_known &&
-        cfg_.tier_fallback == TierFallback::kFallbackToDefault)
-      lane = find_lane(model, 0);
-  }
+  std::shared_ptr<Lane> lane = find_lane(model, tier, &model_known);
+  if (!lane && model_known &&
+      cfg_.tier_fallback == TierFallback::kFallbackToDefault)
+    lane = find_lane(model, 0);
 
   AdmitResult result = AdmitResult::kClosed;
   if (!running()) {
@@ -383,6 +536,7 @@ std::future<ServeResponse> ModelRouter::submit(
 
 void ModelRouter::worker_loop(size_t worker_index) {
   std::vector<ServeRequest> batch;
+  const size_t max_batch = static_cast<size_t>(cfg_.max_batch);
   size_t rr = worker_index;  // stagger the lane scan start per worker
   for (;;) {
     const std::vector<std::shared_ptr<Lane>> lanes = snapshot_lanes();
@@ -400,8 +554,8 @@ void ModelRouter::worker_loop(size_t worker_index) {
     for (size_t k = 0; k < lanes.size() && !executed; ++k) {
       Lane& lane = *lanes[(rr + k) % lanes.size()];
       lane.inflight.fetch_add(1);
-      const DynamicBatcher::Poll poll = lane.batcher.poll_batch(batch);
-      if (poll == DynamicBatcher::Poll::kBatch) {
+      const Lane::Take take = lane.take(batch, max_batch);
+      if (take == Lane::Take::kBatch) {
         execute_batch(*lane.engine, lane.stats, batch, lane.name);
         executed = true;
       }
@@ -411,7 +565,7 @@ void ModelRouter::worker_loop(size_t worker_index) {
         MutexLock lock(lanes_mu_);
         drain_cv_.notify_all();
       }
-      if (poll != DynamicBatcher::Poll::kDrained) all_drained = false;
+      if (take != Lane::Take::kDrained) all_drained = false;
     }
     ++rr;
     if (executed) continue;  // scan again from the next lane

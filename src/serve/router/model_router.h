@@ -1,14 +1,17 @@
-// ModelRouter: multi-tenant serving facade. Fronts N named engines in
-// ONE process — and each name is served at one or more PRECISION
-// TIERS. A serving lane is keyed by (model, tier): its own
-// RequestQueue + DynamicBatcher + ServeStats around that tier's
-// engine, with every lane multiplexed onto one shared worker set, so
-// K lanes cost K engine bindings (tiers derived from one checkpoint
-// share nothing but are individually mmap-shareable) and only one
-// thread pool. Requests carry the model name AND a tier (weight_bits;
-// 0 = the model's default tier); the empty name routes to the default
-// model (the first lane added), which is how protocol-v1 clients keep
-// working.
+// ModelRouter: the serving front-end. Fronts N named engines in ONE
+// process — and each name is served at one or more PRECISION TIERS. A
+// serving lane is keyed by (model, tier): its own RequestQueue +
+// ServeStats around that tier's engine, with every lane multiplexed
+// onto one shared worker set, so K lanes cost K engine bindings (tiers
+// derived from one checkpoint share nothing but are individually
+// mmap-shareable) and only one thread pool. A free worker takes the
+// oldest min(max_batch, queued) requests of a lane at once, of any
+// length, and never waits for more to arrive; forward_batch is ragged
+// and unpadded, so mixing lengths costs nothing. Requests carry the
+// model name AND a tier (weight_bits; 0 = the model's default tier);
+// the empty name routes to the default model (the first lane added),
+// which is how protocol-v1 clients and in-process single-model callers
+// reach it.
 //
 //   EngineRegistry registry;
 //   registry.register_file("sst2", "sst2.bin");   // native int8
@@ -44,10 +47,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/fq_bert.h"
 #include "platform/thread_annotations.h"
-#include "serve/engine_pool.h"
 #include "serve/engine_registry.h"
-#include "serve/server.h"
+#include "serve/request_queue.h"
+#include "serve/stats.h"
 
 namespace fqbert::serve {
 
@@ -58,12 +62,14 @@ enum class TierFallback {
 };
 
 struct RouterConfig {
-  /// Shared worker threads executing batches across ALL lanes.
+  /// Shared worker threads executing batches across ALL lanes
+  /// (clamped to >= 1).
   int num_workers = 2;
-  /// Per-lane admission queue and batching policy (every lane gets its
-  /// own instances with these settings).
+  /// Per-lane admission queue (every lane gets its own).
   RequestQueueConfig queue;
-  BatcherConfig batcher;
+  /// Most requests one engine dispatch takes (the only batching knob;
+  /// clamped to >= 1).
+  int64_t max_batch = 8;
   TierFallback tier_fallback = TierFallback::kStrict;
 };
 
@@ -204,8 +210,21 @@ class ModelRouter {
           tier(tier_bits),
           engine(std::move(model)),
           config(engine->config()),
-          queue(cfg.queue, &stats),
-          batcher(queue, cfg.batcher, &stats) {}
+          queue(cfg.queue, &stats) {}
+
+    /// What one take() found.
+    enum class Take {
+      kBatch,    // `out` holds a batch
+      kIdle,     // nothing queued
+      kDrained,  // queue closed and empty, or aborted
+    };
+    /// The lane's batching step (non-blocking): pop the oldest
+    /// min(max_batch, queued) live requests, resolve expired ones with
+    /// kTimedOut, and journal the formed batch.
+    Take take(std::vector<ServeRequest>& out, size_t max_batch);
+    /// Fail everything still queued with kShutdown (after an abort,
+    /// or when no worker will ever run this lane).
+    void fail_queued();
 
     const std::string name;
     const int tier;  // weight_bits this lane serves
@@ -213,9 +232,8 @@ class ModelRouter {
     const nn::BertConfig config;
     ServeStats stats;
     RequestQueue queue;
-    DynamicBatcher batcher;
-    /// Workers parked on this lane's poll/execute window. Incremented
-    /// BEFORE poll_batch so (queue empty && inflight == 0) can never be
+    /// Workers parked on this lane's take/execute window. Incremented
+    /// BEFORE take() so (queue empty && inflight == 0) can never be
     /// observed while a popped batch is unresolved.
     std::atomic<int> inflight{0};
     std::atomic<bool> closing{false};

@@ -1,6 +1,6 @@
 // Serving-side metrics: admission counters, latency quantiles and batch
-// occupancy. One collector is shared by the queue, the batcher and the
-// worker pool; everything is mutex-guarded and cheap enough to sit on
+// occupancy. One collector per router lane is shared by its queue and
+// the workers that run its batches; everything is mutex-guarded and cheap enough to sit on
 // the request path.
 //
 // Latency lives in a mergeable DDSketch-style quantile sketch (see

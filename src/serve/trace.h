@@ -21,7 +21,7 @@ namespace fqbert::serve {
 /// Stage codes are appended-only (they travel on the wire).
 enum class TraceStage : uint8_t {
   kAdmitted = 0,       // backend: request accepted into its lane queue
-  kBatchFormed = 1,    // backend: batcher flushed the batch it rode in
+  kBatchFormed = 1,    // backend: a worker took the batch it rode in
   kWorkerStart = 2,    // backend: worker began the batch forward pass
   kWorkerEnd = 3,      // backend: forward pass done, logits ready
   kResponded = 4,      // backend: response handed to the transport

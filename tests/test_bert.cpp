@@ -83,12 +83,12 @@ TEST(BertModel, SaveLoadRoundTrip) {
   for (Param* p : b.params())
     for (int64_t i = 0; i < p->value.numel(); ++i) p->value[i] += 0.1f;
 
-  const std::string path = ::testing::TempDir() + "/fqbert_state.bin";
+  const testing::TempFile file("fqbert_state.bin");
+  const std::string& path = file.path();
   save_state(a, path);
   ASSERT_TRUE(load_state(b, path));
   Example ex = make_example({1, 2, 3, 4}, 0);
   EXPECT_EQ(max_abs_diff(a.forward(ex), b.forward(ex)), 0.0);
-  std::remove(path.c_str());
 }
 
 TEST(BertModel, LoadMissingFileFails) {

@@ -27,6 +27,7 @@
 #include "serve/router/model_router.h"
 #include "serve/shard/shard_proxy.h"
 #include "serve/trace.h"
+#include "test_util.h"
 
 namespace fqbert::serve {
 namespace {
@@ -107,15 +108,15 @@ bool acceptable_churn_status(RequestStatus s) {
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrencyStress, RouterHotChurnTracedTrafficAndScrapes) {
-  const std::string churn_path =
-      ::testing::TempDir() + "stress_churn_engine.bin";
+  const testing::TempFile churn_file("stress_churn_engine.bin");
+  const std::string& churn_path = churn_file.path();
   ASSERT_TRUE(stress_engine()->save(churn_path));
 
   EngineRegistry registry;
   registry.register_model("base", stress_engine());
   RouterConfig rcfg;
   rcfg.num_workers = 2;
-  rcfg.batcher.max_batch = 4;
+  rcfg.max_batch = 4;
   ModelRouter router(registry, rcfg);
   ASSERT_TRUE(router.add_model("base"));
   ASSERT_TRUE(router.start());
@@ -215,7 +216,6 @@ TEST(ConcurrencyStress, RouterHotChurnTracedTrafficAndScrapes) {
   transport.stop();
   metrics.stop();
   router.shutdown(/*drain=*/true);
-  std::remove(churn_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ struct StressBackend {
   StressBackend() {
     RouterConfig rcfg;
     rcfg.num_workers = 1;
-    rcfg.batcher.max_batch = 4;
+    rcfg.max_batch = 4;
     router = std::make_unique<ModelRouter>(registry, rcfg);
     registry.register_model("shared", stress_engine());
     EXPECT_TRUE(router->add_model("shared"));

@@ -222,7 +222,7 @@ TEST(DebugEndpoints, WellFormedJsonUnderConcurrentTraffic) {
   registry.register_model("m0", build_engine(42));
   RouterConfig rcfg;
   rcfg.num_workers = 2;
-  rcfg.batcher.max_batch = 4;
+  rcfg.max_batch = 4;
   ModelRouter router(registry, rcfg);
   ASSERT_TRUE(router.add_model("m0"));
   ASSERT_TRUE(router.start());

@@ -212,7 +212,7 @@ TEST(MetricsText, RouterExpositionIsValidAndBalances) {
   registry.register_model("m1", build_engine(43));
   RouterConfig rcfg;
   rcfg.num_workers = 1;
-  rcfg.batcher.max_batch = 4;
+  rcfg.max_batch = 4;
   ModelRouter router(registry, rcfg);
   ASSERT_TRUE(router.add_model("m0"));
   ASSERT_TRUE(router.add_model("m1"));

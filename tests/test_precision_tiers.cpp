@@ -34,7 +34,7 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
+#include "test_util.h"
 
 namespace fqbert::serve {
 namespace {
@@ -96,7 +96,7 @@ std::shared_ptr<const FqBertModel> int8_parent() {
 RouterConfig fast_router_config(int workers = 2) {
   RouterConfig cfg;
   cfg.num_workers = workers;
-  cfg.batcher.max_batch = 4;
+  cfg.max_batch = 4;
   return cfg;
 }
 
@@ -156,14 +156,13 @@ TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
   // Dedicated side: the SAME derivation serialized and loaded
   // as-quantized — the deployment where each tier is its own server
   // binary reading its own engine file.
-  const std::string int4_path = ::testing::TempDir() + "tier_int4.bin";
+  const testing::TempFile int4_file("tier_int4.bin");
+  const std::string& int4_path = int4_file.path();
   ASSERT_TRUE(int8_parent()->derive_tier(4).save(int4_path));
   EngineRegistry reg4;
   ASSERT_TRUE(reg4.register_file("d4", int4_path));
-  ServerConfig scfg;
-  scfg.num_workers = 1;
-  scfg.batcher.max_batch = 4;
-  InferenceServer dedicated4(reg4, "d4", scfg);
+  ModelRouter dedicated4(reg4, fast_router_config(1));
+  ASSERT_TRUE(dedicated4.add_model("d4"));
   ASSERT_TRUE(dedicated4.start());
 
   Rng rng(21);
@@ -172,7 +171,7 @@ TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
         synth_example(rng, 2 + rng.randint(0, 20), tier_shape());
     ServeResponse tiered =
         router.submit("m", ex, std::nullopt, nullptr, 0, /*tier=*/4).get();
-    ServeResponse direct = dedicated4.submit(ex).get();
+    ServeResponse direct = dedicated4.submit("", ex).get();
     ASSERT_EQ(tiered.status, RequestStatus::kOk);
     ASSERT_EQ(direct.status, RequestStatus::kOk);
     EXPECT_EQ(tiered.tier, 4);  // response reports the serving tier
@@ -191,7 +190,6 @@ TEST(PrecisionTiers, DerivedTierBitIdenticalToDedicatedServer) {
   router.shutdown();
   for (const auto& [name, tier, st] : router.all_stats())
     EXPECT_TRUE(st.accounting_balances()) << name << "@" << tier;
-  std::remove(int4_path.c_str());
 }
 
 TEST(PrecisionTiers, StrictRejectsAndFallbackServesUnknownTier) {
@@ -234,12 +232,12 @@ TEST(PrecisionTiers, StrictRejectsAndFallbackServesUnknownTier) {
 TEST(MappedEngine, RoundTripBitIdenticalAndSniffed) {
   for (const int bits : {4, 8}) {
     const FqBertModel engine = build_engine(tier_shape(), bits, 5000 + bits);
-    const std::string stream_path = ::testing::TempDir() +
-                                    "tier_stream_" + std::to_string(bits) +
-                                    ".bin";
-    const std::string mapped_path = ::testing::TempDir() +
-                                    "tier_mapped_" + std::to_string(bits) +
-                                    ".bin";
+    const testing::TempFile stream_file("tier_stream_" +
+                                        std::to_string(bits) + ".bin");
+    const testing::TempFile mapped_file("tier_mapped_" +
+                                        std::to_string(bits) + ".bin");
+    const std::string& stream_path = stream_file.path();
+    const std::string& mapped_path = mapped_file.path();
     ASSERT_TRUE(engine.save(stream_path));
     ASSERT_TRUE(engine.save_mapped(mapped_path));
 
@@ -267,8 +265,6 @@ TEST(MappedEngine, RoundTripBitIdenticalAndSniffed) {
               << "bits " << bits << " example " << i << " logit " << j;
       }
     }
-    std::remove(stream_path.c_str());
-    std::remove(mapped_path.c_str());
   }
 }
 
@@ -278,8 +274,9 @@ TEST(MappedEngine, MappedForwardMatchesScalarOracleFuzz) {
   // other inference entry point (tests/test_forward_fuzz.cpp).
   for (const int bits : {4, 8}) {
     const FqBertModel engine = build_engine(tier_shape(), bits, 6100 + bits);
-    const std::string path = ::testing::TempDir() + "tier_oracle_" +
-                             std::to_string(bits) + ".bin";
+    const testing::TempFile file("tier_oracle_" + std::to_string(bits) +
+                                 ".bin");
+    const std::string& path = file.path();
     ASSERT_TRUE(engine.save_mapped(path));
     const FqBertModel mapped = FqBertModel::load_mapped(path);
     const core::oracle::OracleModel oracle(mapped);
@@ -302,7 +299,6 @@ TEST(MappedEngine, MappedForwardMatchesScalarOracleFuzz) {
         EXPECT_EQ(want[j], got[j])
             << "bits " << bits << " len " << len << " logit " << j;
     }
-    std::remove(path.c_str());
   }
 }
 
@@ -310,7 +306,8 @@ TEST(MappedEngine, RetiredFqbert02FileIsRefusedExplicitly) {
   // An FQBERT02 file holds row-major int8/int16 weights; reading it as
   // tiles would silently compute garbage, so both loaders refuse it by
   // name.
-  const std::string path = ::testing::TempDir() + "tier_retired.bin";
+  const testing::TempFile file("tier_retired.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(int8_parent()->save_mapped(path));
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -326,7 +323,6 @@ TEST(MappedEngine, RetiredFqbert02FileIsRefusedExplicitly) {
           << e.what();
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(MappedEngine, NonzeroTilePaddingIsRefused) {
@@ -339,7 +335,8 @@ TEST(MappedEngine, NonzeroTilePaddingIsRefused) {
   shape.num_heads = 2;
   shape.ffn_dim = 37;
   const FqBertModel engine = build_engine(shape, 8, 5100);
-  const std::string path = ::testing::TempDir() + "tier_bad_padding.bin";
+  const testing::TempFile file("tier_bad_padding.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(engine.save_mapped(path));
   (void)FqBertModel::load_mapped(path);  // the saved file itself is fine
 
@@ -374,13 +371,13 @@ TEST(MappedEngine, NonzeroTilePaddingIsRefused) {
       }
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(MappedEngine, DeriveTierFromMappedEngine) {
   // A derived tier of a mapped parent owns its codes (the mapping only
   // backs the parent) and matches the derivation of the owned parent.
-  const std::string path = ::testing::TempDir() + "tier_map_parent.bin";
+  const testing::TempFile file("tier_map_parent.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(int8_parent()->save_mapped(path));
   const FqBertModel mapped = FqBertModel::load_mapped(path);
   const FqBertModel from_mapped = mapped.derive_tier(4);
@@ -394,7 +391,6 @@ TEST(MappedEngine, DeriveTierFromMappedEngine) {
     for (int64_t j = 0; j < want.numel(); ++j)
       EXPECT_EQ(want[j], got[j]) << "example " << i << " logit " << j;
   }
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -428,8 +424,10 @@ TEST(EngineRegistryTiers, RegisterFileReplacesUnderLiveTraffic) {
   // tier) must atomically REPLACE the binding while readers hammer
   // get()+forward — in-flight holders finish on the engine they
   // resolved; nobody crashes, nobody blocks.
-  const std::string path_a = ::testing::TempDir() + "replace_a.bin";
-  const std::string path_b = ::testing::TempDir() + "replace_b.bin";
+  const testing::TempFile file_a("replace_a.bin");
+  const testing::TempFile file_b("replace_b.bin");
+  const std::string& path_a = file_a.path();
+  const std::string& path_b = file_b.path();
   ASSERT_TRUE(int8_parent()->save(path_a));
   ASSERT_TRUE(build_engine(other_shape(), 8, 4242).save(path_b));
 
@@ -469,8 +467,6 @@ TEST(EngineRegistryTiers, RegisterFileReplacesUnderLiveTraffic) {
   // reflect the LAST registration.
   EXPECT_EQ(registry.source_path("m"), path_a);
   EXPECT_EQ(registry.get("m")->config().hidden, tier_shape().hidden);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Multi-tenant model router tests: several engines served from ONE
-// process must be bit-identical to dedicated single-model servers; hot
+// process must be bit-identical to dedicated single-model routers; hot
 // LOAD/UNLOAD under live wire traffic must leave every lane's
 // accounting balanced (admitted == completed + timed_out + failed) and
 // never wedge other lanes; protocol-v1 clients must keep being served
@@ -19,7 +19,7 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
+#include "test_util.h"
 
 namespace fqbert::serve {
 namespace {
@@ -86,12 +86,12 @@ TwoEngines& engines() {
 RouterConfig fast_router_config(int workers = 2) {
   RouterConfig cfg;
   cfg.num_workers = workers;
-  cfg.batcher.max_batch = 4;
+  cfg.max_batch = 4;
   return cfg;
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: one router == K dedicated servers, bit for bit.
+// Acceptance: one router == K dedicated routers, bit for bit.
 // ---------------------------------------------------------------------------
 
 TEST(ModelRouter, TwoModelsBitIdenticalToDedicatedServers) {
@@ -104,28 +104,28 @@ TEST(ModelRouter, TwoModelsBitIdenticalToDedicatedServers) {
   ASSERT_TRUE(router.add_model("b"));
   ASSERT_TRUE(router.start());
 
-  // Two dedicated single-model servers (the pre-router deployment).
-  ServerConfig scfg;
-  scfg.num_workers = 1;
-  scfg.batcher.max_batch = 4;
+  // Two dedicated single-lane routers, one worker each (one server
+  // per model).
   EngineRegistry reg_a, reg_b;
   reg_a.register_model("a", engines().a);
   reg_b.register_model("b", engines().b);
-  InferenceServer server_a(reg_a, "a", scfg);
-  InferenceServer server_b(reg_b, "b", scfg);
+  ModelRouter server_a(reg_a, fast_router_config(1));
+  ModelRouter server_b(reg_b, fast_router_config(1));
+  ASSERT_TRUE(server_a.add_model("a"));
+  ASSERT_TRUE(server_b.add_model("b"));
   ASSERT_TRUE(server_a.start());
   ASSERT_TRUE(server_b.start());
 
   constexpr int kPerModel = 40;
   std::atomic<int> mismatches{0};
   auto drive = [&](const char* model, const BertConfig& cfg,
-                   InferenceServer& dedicated, uint64_t seed) {
+                   ModelRouter& dedicated, uint64_t seed) {
     Rng rng(seed);
     for (int i = 0; i < kPerModel; ++i) {
       const Example ex =
           synth_example(rng, 2 + rng.randint(0, cfg.max_seq_len - 2), cfg);
       ServeResponse via_router = router.submit(model, ex).get();
-      ServeResponse via_dedicated = dedicated.submit(ex).get();
+      ServeResponse via_dedicated = dedicated.submit("", ex).get();
       if (via_router.status != RequestStatus::kOk ||
           via_dedicated.status != RequestStatus::kOk ||
           via_router.logits != via_dedicated.logits ||
@@ -239,7 +239,8 @@ TEST(ModelRouter, UnloadDrainsOnlyItsLane) {
 
 TEST(ModelRouterWire, HotLoadUnloadUnderLiveTraffic) {
   // Serialize C so the control plane can hot-load it from a file.
-  const std::string c_path = ::testing::TempDir() + "router_model_c.bin";
+  const testing::TempFile c_file("router_model_c.bin");
+  const std::string& c_path = c_file.path();
   ASSERT_TRUE(engines().b->save(c_path));
 
   EngineRegistry registry;
@@ -346,7 +347,6 @@ TEST(ModelRouterWire, HotLoadUnloadUnderLiveTraffic) {
     EXPECT_GT(st.completed, 0u) << name;
   }
   EXPECT_EQ(router.unknown_model_rejections(), 3u);  // one per round
-  std::remove(c_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -408,7 +408,8 @@ TEST(ModelRouterWire, V1ClientServedOnDefaultModel) {
 }
 
 TEST(ModelRouter, LoadRefusedOnceShutdown) {
-  const std::string path = ::testing::TempDir() + "router_model_s.bin";
+  const testing::TempFile file("router_model_s.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(engines().a->save(path));
   EngineRegistry registry;
   registry.register_model("a", engines().a);
@@ -422,7 +423,6 @@ TEST(ModelRouter, LoadRefusedOnceShutdown) {
   EXPECT_FALSE(router.load_model("late", path, &error));
   EXPECT_FALSE(router.has_model("late"));
   EXPECT_FALSE(error.empty());
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ EngineFixture& fixture() {
 
 TEST(Serialize, RoundTripIsBitExact) {
   auto& f = fixture();
-  const std::string path = ::testing::TempDir() + "/fq_model.bin";
+  const testing::TempFile file("fq_model.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(f.engine->save(path));
   FqBertModel loaded = FqBertModel::load(path);
 
@@ -56,12 +57,12 @@ TEST(Serialize, RoundTripIsBitExact) {
     for (int64_t j = 0; j < a.numel(); ++j)
       EXPECT_EQ(a[j], b[j]) << "example " << i << " logit " << j;
   }
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, PreservesConfigAndScales) {
   auto& f = fixture();
-  const std::string path = ::testing::TempDir() + "/fq_model2.bin";
+  const testing::TempFile file("fq_model2.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(f.engine->save(path));
   FqBertModel loaded = FqBertModel::load(path);
   EXPECT_EQ(loaded.config().hidden, f.engine->config().hidden);
@@ -77,29 +78,28 @@ TEST(Serialize, PreservesConfigAndScales) {
     EXPECT_EQ(a.wq.narrow_codes(), b.wq.narrow_codes());
     EXPECT_EQ(a.ffn2.bias_q, b.ffn2.bias_q);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, EmbedCodesIdentical) {
   auto& f = fixture();
-  const std::string path = ::testing::TempDir() + "/fq_model3.bin";
+  const testing::TempFile file("fq_model3.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(f.engine->save(path));
   FqBertModel loaded = FqBertModel::load(path);
   EXPECT_EQ(loaded.embed(f.data[0]), f.engine->embed(f.data[0]));
   EXPECT_DOUBLE_EQ(loaded.embed_scale(), f.engine->embed_scale());
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, RejectsMissingAndGarbageFiles) {
   EXPECT_THROW(FqBertModel::load("/nonexistent/x.bin"), std::runtime_error);
-  const std::string path = ::testing::TempDir() + "/garbage.bin";
+  const testing::TempFile file("garbage.bin");
+  const std::string& path = file.path();
   {
     std::FILE* fp = std::fopen(path.c_str(), "wb");
     std::fputs("not a model", fp);
     std::fclose(fp);
   }
   EXPECT_THROW(FqBertModel::load(path), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 TEST(Serialize, SaveToUnwritablePathFails) {

@@ -1,5 +1,6 @@
-// Serving subsystem tests: batched-forward bit-identity, work-conserving
-// FIFO batching, deadline admission and timeout, response-to-request
+// Serving subsystem tests: batched-forward bit-identity, the request
+// queue's FIFO pop, deadline set-aside and abort, and a one-lane router
+// end to end: deadline admission and timeout, response-to-request
 // ordering under concurrent submitters, and shutdown (drain and abort).
 #include <gtest/gtest.h>
 
@@ -7,7 +8,7 @@
 
 #include "pipeline/pipeline.h"
 #include "serve/loadgen.h"
-#include "serve/server.h"
+#include "serve/router/model_router.h"
 #include "test_util.h"
 
 namespace fqbert::serve {
@@ -134,99 +135,110 @@ TEST(RequestQueue, RejectsWhenFullAndAfterClose) {
   EXPECT_EQ(drained.size(), 2u);
 }
 
-// ---------------------------------------------------------------------------
-// Dynamic batcher
-// ---------------------------------------------------------------------------
-
-TEST(DynamicBatcher, LoneRequestIsHandedOutAtOnce) {
+TEST(RequestQueue, PopHandsOutWhatIsQueuedAtOnce) {
   RequestQueue queue(RequestQueueConfig{64});
-  DynamicBatcher batcher(queue, BatcherConfig{});  // max_batch 8
-
-  std::vector<ServeRequest> batch;
-  EXPECT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kIdle);
+  std::vector<ServeRequest> batch, expired;
+  EXPECT_TRUE(queue.pop(batch, 8, Clock::now(), expired));
+  EXPECT_TRUE(batch.empty());
   ASSERT_EQ(queue.submit(make_request(1, 8)), AdmitResult::kOk);
-  // The very next non-blocking poll hands the request out: a free
-  // worker never waits for a batch to fill.
-  ASSERT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kBatch);
+  // The very next pop hands the lone request out: a free worker never
+  // waits for a batch to fill.
+  EXPECT_TRUE(queue.pop(batch, 8, Clock::now(), expired));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].id, 1u);
   EXPECT_EQ(queue.size(), 0u);
-
-  // A worker parked in next_batch wakes on the submit itself.
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_EQ(queue.submit(make_request(2, 8)), AdmitResult::kOk);
-  });
-  ASSERT_TRUE(batcher.next_batch(batch));
-  producer.join();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].id, 2u);
 }
 
-TEST(DynamicBatcher, MixedLengthBacklogFormsFifoBatches) {
+TEST(RequestQueue, MixedLengthBacklogPopsFifoBatches) {
   RequestQueue queue(RequestQueueConfig{64});
-  BatcherConfig cfg;
-  cfg.max_batch = 4;
-  DynamicBatcher batcher(queue, cfg);
-
   const std::vector<int64_t> lengths = {6, 30, 2, 14, 9, 20};
   for (size_t i = 0; i < lengths.size(); ++i)
     ASSERT_EQ(queue.submit(make_request(i + 1, lengths[i])),
               AdmitResult::kOk);
-  // One batch of max_batch across every length, in admission order,
-  // then the rest.
-  std::vector<ServeRequest> batch;
-  ASSERT_TRUE(batcher.next_batch(batch));
+  // One batch of max across every length, in admission order, then the
+  // rest.
+  std::vector<ServeRequest> batch, expired;
+  EXPECT_TRUE(queue.pop(batch, 4, Clock::now(), expired));
   ASSERT_EQ(batch.size(), 4u);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].id, i + 1);
     EXPECT_EQ(batch[i].seq_len(), lengths[i]);
   }
-  // close() stops admission, not hand-out: the rest still drains.
+  // close() stops admission, not hand-out: the rest still drains, and
+  // the pop that empties a closed queue reports it finished.
   queue.close();
-  ASSERT_TRUE(batcher.next_batch(batch));
+  batch.clear();
+  EXPECT_FALSE(queue.pop(batch, 4, Clock::now(), expired));
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].id, 5u);
   EXPECT_EQ(batch[1].id, 6u);
-  EXPECT_EQ(batcher.poll_batch(batch), DynamicBatcher::Poll::kDrained);
-  EXPECT_FALSE(batcher.next_batch(batch));
+  batch.clear();
+  EXPECT_FALSE(queue.pop(batch, 4, Clock::now(), expired));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_TRUE(expired.empty());
 }
 
-TEST(DynamicBatcher, DropsExpiredRequestsWithTimeoutStatus) {
+TEST(RequestQueue, ExpiredRequestsSetAsideWithoutTakingASlot) {
   RequestQueue queue(RequestQueueConfig{64});
-  BatcherConfig cfg;
-  cfg.max_batch = 1;  // an expired request must not take the one slot
-  ServeStats stats;
-  DynamicBatcher batcher(queue, cfg, &stats);
-
-  ServeRequest doomed = make_request(1, 8, Micros(2000));
-  std::future<ServeResponse> fut = doomed.promise.get_future();
-  ASSERT_EQ(queue.submit(std::move(doomed)), AdmitResult::kOk);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(queue.submit(make_request(1, 8, Micros(2000))), AdmitResult::kOk);
   ASSERT_EQ(queue.submit(make_request(2, 8)), AdmitResult::kOk);
 
-  std::vector<ServeRequest> batch;
-  ASSERT_TRUE(batcher.next_batch(batch));
+  // max 1: the expired request must not take the one slot.
+  std::vector<ServeRequest> batch, expired;
+  const TimePoint later = Clock::now() + std::chrono::milliseconds(5);
+  EXPECT_TRUE(queue.pop(batch, 1, later, expired));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].id, 2u);
-  const ServeResponse resp = fut.get();
-  EXPECT_EQ(resp.status, RequestStatus::kTimedOut);
-  EXPECT_EQ(stats.report().timed_out, 1u);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired[0].id, 1u);
+}
+
+TEST(RequestQueue, AbortStopsHandOutAndKeepsWorkForDrain) {
+  RequestQueue queue(RequestQueueConfig{64});
+  for (uint64_t i = 0; i < 5; ++i)
+    ASSERT_EQ(queue.submit(make_request(i + 1, 8)), AdmitResult::kOk);
+
+  queue.abort();
+  // After abort() a worker's pop takes nothing and is told to exit;
+  // admissions are closed too.
+  std::vector<ServeRequest> batch, expired;
+  EXPECT_FALSE(queue.pop(batch, 8, Clock::now(), expired));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(queue.submit(make_request(6, 8)), AdmitResult::kClosed);
+  // Everything queued is left for the aborter to fail.
+  std::vector<ServeRequest> left;
+  queue.drain_into(left);
+  EXPECT_EQ(left.size(), 5u);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end server
+// End-to-end: a one-lane router, as the CLI and benches run it
 // ---------------------------------------------------------------------------
 
-TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
+RouterConfig router_config(int workers, int64_t max_batch = 8) {
+  RouterConfig cfg;
+  cfg.num_workers = workers;
+  cfg.max_batch = max_batch;
+  return cfg;
+}
 
-  ServerConfig cfg;
-  cfg.num_workers = 2;
-  cfg.batcher.max_batch = 4;
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+/// A started router with one lane, "tiny", serving the fixture engine.
+struct TinyRouter {
+  EngineRegistry registry;
+  ModelRouter router;
+
+  explicit TinyRouter(const RouterConfig& cfg) : router(registry, cfg) {
+    registry.register_model("tiny", fixture().engine);
+    EXPECT_TRUE(router.add_model("tiny"));
+    EXPECT_TRUE(router.start());
+  }
+
+  ServeStats::Report report() const { return *router.stats_report("tiny"); }
+};
+
+TEST(ModelRouterLane, ResponsesMatchRequestsUnderConcurrentSubmitters) {
+  TinyRouter tiny(router_config(2, 4));
+  ModelRouter& router = tiny.router;
 
   constexpr int kClients = 4, kPerClient = 25;
   std::vector<std::thread> clients;
@@ -237,7 +249,7 @@ TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
       for (int i = 0; i < kPerClient; ++i) {
         Example ex =
             synth_example(rng, 3 + rng.randint(0, 20), fixture().config);
-        auto fut = server.submit(ex);
+        auto fut = router.submit("tiny", ex);
         const ServeResponse resp = fut.get();
         if (resp.status != RequestStatus::kOk) {
           ++mismatches[c];
@@ -252,24 +264,18 @@ TEST(InferenceServer, ResponsesMatchRequestsUnderConcurrentSubmitters) {
     });
   }
   for (std::thread& t : clients) t.join();
-  server.shutdown(/*drain=*/true);
+  router.shutdown(/*drain=*/true);
 
   for (int c = 0; c < kClients; ++c) EXPECT_EQ(mismatches[c], 0);
-  const ServeStats::Report report = server.stats().report();
+  const ServeStats::Report report = tiny.report();
   EXPECT_EQ(report.admitted, kClients * kPerClient);
   EXPECT_EQ(report.completed, kClients * kPerClient);
   EXPECT_GE(report.batches, 1u);
 }
 
-TEST(InferenceServer, GracefulShutdownDrainsQueue) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-
-  ServerConfig cfg;
-  cfg.num_workers = 1;
-  cfg.batcher.max_batch = 1;
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+TEST(ModelRouterLane, GracefulShutdownDrainsQueue) {
+  TinyRouter tiny(router_config(1, 1));
+  ModelRouter& router = tiny.router;
 
   // The one worker takes a request at a time, so shutdown lands on a
   // backlog it must finish, not fail.
@@ -277,54 +283,22 @@ TEST(InferenceServer, GracefulShutdownDrainsQueue) {
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 64; ++i)
     futures.push_back(
-        server.submit(synth_example(rng, 32, fixture().config)));
+        router.submit("tiny", synth_example(rng, 32, fixture().config)));
 
-  server.shutdown(/*drain=*/true);
+  router.shutdown(/*drain=*/true);
   int ok = 0;
   for (auto& fut : futures) ok += fut.get().status == RequestStatus::kOk;
   EXPECT_EQ(ok, 64);
-  EXPECT_EQ(server.stats().report().completed, 64u);
+  EXPECT_EQ(tiny.report().completed, 64u);
 
   // Post-shutdown submissions are rejected with kShutdown.
-  auto late = server.submit(synth_example(rng, 8, fixture().config));
+  auto late = router.submit("tiny", synth_example(rng, 8, fixture().config));
   EXPECT_EQ(late.get().status, RequestStatus::kShutdown);
 }
 
-TEST(DynamicBatcher, AbortFailsQueuedRequestsAndHandsOutNone) {
-  // InferenceServer::shutdown(drain=false) order against a queue no
-  // worker has popped yet: abort -> close -> workers -> fail_pending.
-  ServeStats stats;
-  RequestQueue queue(RequestQueueConfig{64}, &stats);
-  DynamicBatcher batcher(queue, BatcherConfig{}, &stats);
-  std::vector<std::future<ServeResponse>> futures;
-  for (uint64_t i = 0; i < 5; ++i) {
-    ServeRequest req = make_request(i + 1, 8);
-    futures.push_back(req.promise.get_future());
-    ASSERT_EQ(queue.submit(std::move(req)), AdmitResult::kOk);
-  }
-
-  batcher.abort();
-  queue.close();
-  // Workers that start after abort() exit without taking a batch.
-  EnginePool pool(batcher, stats);
-  pool.start(fixture().engine, 1);
-  pool.join();
-  EXPECT_EQ(queue.size(), 5u);
-  batcher.fail_pending(RequestStatus::kShutdown);
-
-  for (auto& fut : futures)
-    EXPECT_EQ(fut.get().status, RequestStatus::kShutdown);
-  const ServeStats::Report r = stats.report();
-  EXPECT_EQ(r.completed, 0u);
-  EXPECT_EQ(r.failed, 5u);
-  EXPECT_TRUE(r.accounting_balances());
-}
-
-TEST(InferenceServer, RejectsMalformedExamplesAtAdmission) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-  InferenceServer server(registry, "tiny", ServerConfig{});
-  ASSERT_TRUE(server.start());
+TEST(ModelRouterLane, RejectsMalformedExamplesAtAdmission) {
+  TinyRouter tiny(router_config(2));
+  ModelRouter& router = tiny.router;
 
   Rng rng(11);
   const BertConfig& cfg = fixture().config;
@@ -339,50 +313,62 @@ TEST(InferenceServer, RejectsMalformedExamplesAtAdmission) {
 
   for (Example* ex : {&too_long, &bad_token, &ragged_segments, &empty}) {
     AdmitResult admit;
-    auto fut = server.submit(*ex, std::nullopt, &admit);
+    auto fut = router.submit("tiny", *ex, std::nullopt, &admit);
     EXPECT_EQ(admit, AdmitResult::kInvalidExample);
     EXPECT_EQ(fut.get().status, RequestStatus::kRejectedInvalid);
   }
-  // A well-formed example still sails through on the same server.
-  auto ok = server.submit(synth_example(rng, 8, cfg));
+  // A well-formed example still sails through on the same lane.
+  auto ok = router.submit("tiny", synth_example(rng, 8, cfg));
   EXPECT_EQ(ok.get().status, RequestStatus::kOk);
-  server.shutdown();
-  // The rejections are visible server-side, not only in client counts.
-  EXPECT_EQ(server.stats().report().rejected_invalid, 4u);
-  // Post-shutdown submissions land in the closed counter.
-  auto late = server.submit(synth_example(rng, 8, cfg));
+  router.shutdown();
+  // A late submit to the served lane is rejected and counted on it.
+  auto late = router.submit("tiny", synth_example(rng, 8, cfg));
   EXPECT_EQ(late.get().status, RequestStatus::kShutdown);
-  EXPECT_EQ(server.stats().report().rejected_closed, 1u);
+  // The rejections are visible server-side, not only in client counts.
+  EXPECT_EQ(tiny.report().rejected_invalid, 4u);
+  EXPECT_EQ(tiny.report().rejected_closed, 1u);
 }
 
-TEST(InferenceServer, ZeroWorkerConfigStillServes) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-  ServerConfig cfg;
-  cfg.num_workers = 0;  // clamped to 1: futures must never hang
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
-  EXPECT_EQ(server.num_workers(), 1u);
+TEST(ModelRouterLane, ZeroWorkerConfigStillServes) {
+  TinyRouter tiny(router_config(0));  // clamped to 1: futures must never hang
+  EXPECT_EQ(tiny.router.num_workers(), 1u);
   Rng rng(17);
-  auto fut = server.submit(synth_example(rng, 8, fixture().config));
+  auto fut = tiny.router.submit("tiny", synth_example(rng, 8, fixture().config));
   EXPECT_EQ(fut.get().status, RequestStatus::kOk);
-  server.shutdown();
+  tiny.router.shutdown();
 }
 
-TEST(InferenceServer, DeadlineRejectionAndStatsCounters) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-  InferenceServer server(registry, "tiny", ServerConfig{});
-  ASSERT_TRUE(server.start());
+TEST(ModelRouterLane, DeadlineRejectionTimeoutAndStatsCounters) {
+  TinyRouter tiny(router_config(1, 1));
+  ModelRouter& router = tiny.router;
 
+  // Dead on arrival: rejected at admission, never queued.
   Rng rng(8);
   AdmitResult admit;
-  auto fut = server.submit(synth_example(rng, 8, fixture().config),
+  auto fut = router.submit("tiny", synth_example(rng, 8, fixture().config),
                            Micros(-1000), &admit);
   EXPECT_EQ(admit, AdmitResult::kDeadlineExpired);
   EXPECT_EQ(fut.get().status, RequestStatus::kRejectedDeadline);
-  server.shutdown();
-  EXPECT_EQ(server.stats().report().rejected_deadline, 1u);
+
+  // Expired in the queue: the one worker, taking a request at a time,
+  // is still far from the end of this backlog when the 1 ms budget of
+  // the request behind it runs out, so the lane times it out instead
+  // of running it.
+  std::vector<std::future<ServeResponse>> backlog;
+  for (int i = 0; i < 512; ++i)
+    backlog.push_back(
+        router.submit("tiny", synth_example(rng, 32, fixture().config)));
+  auto doomed = router.submit("tiny", synth_example(rng, 8, fixture().config),
+                              Micros(1000), &admit);
+  EXPECT_EQ(admit, AdmitResult::kOk);
+  EXPECT_EQ(doomed.get().status, RequestStatus::kTimedOut);
+  router.shutdown();
+  for (auto& f : backlog) EXPECT_EQ(f.get().status, RequestStatus::kOk);
+
+  const ServeStats::Report r = tiny.report();
+  EXPECT_EQ(r.rejected_deadline, 1u);
+  EXPECT_EQ(r.timed_out, 1u);
+  EXPECT_TRUE(r.accounting_balances());
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +385,8 @@ TEST(EngineRegistry, InMemoryEntriesShareOneInstance) {
 }
 
 TEST(EngineRegistry, FileBackedEntriesShareOneLoadedInstance) {
-  const std::string path = ::testing::TempDir() + "fq_serve_registry.bin";
+  const testing::TempFile file("fq_serve_registry.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(fixture().engine->save(path));
 
   EngineRegistry registry;
@@ -421,24 +408,23 @@ TEST(EngineRegistry, FileBackedEntriesShareOneLoadedInstance) {
   EXPECT_FALSE(registry.register_file("bad", path + ".nope"));
 }
 
-TEST(EnginePool, WorkersShareOneEngineInstance) {
+TEST(ModelRouterLane, WorkersShareOneEngineInstance) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
   const long before = fixture().engine.use_count();
 
-  ServerConfig cfg;
-  cfg.num_workers = 4;
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
-  EXPECT_EQ(server.num_workers(), 4u);
-  // Registry entry + the pool's single shared handle: starting 4 workers
-  // must not create 4 engine copies.
+  ModelRouter router(registry, router_config(4));
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
+  EXPECT_EQ(router.num_workers(), 4u);
+  // Registry entry + the lane's single shared handle: starting 4
+  // workers must not create 4 engine copies.
   EXPECT_EQ(fixture().engine.use_count(), before + 1);
 
   Rng rng(21);
-  auto fut = server.submit(synth_example(rng, 8, fixture().config));
+  auto fut = router.submit("tiny", synth_example(rng, 8, fixture().config));
   EXPECT_EQ(fut.get().status, RequestStatus::kOk);
-  server.shutdown(/*drain=*/true);
+  router.shutdown(/*drain=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -482,15 +468,9 @@ TEST(ServeStats, ResetClearsSketchAndCounters) {
   EXPECT_EQ(r.p99_ms, 0.0);
 }
 
-TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-
-  ServerConfig cfg;
-  cfg.num_workers = 1;
-  cfg.batcher.max_batch = 1;
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+TEST(ModelRouterLane, ShutdownAccountingBalancesExactly) {
+  TinyRouter tiny(router_config(1, 1));
+  ModelRouter& router = tiny.router;
 
   // The one worker takes a request at a time, so it cannot get through
   // this backlog before the abort: the abort must fail what is still
@@ -503,8 +483,8 @@ TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
     examples.push_back(synth_example(rng, 32, fixture().config));
   std::vector<std::future<ServeResponse>> futures;
   for (Example& ex : examples)
-    futures.push_back(server.submit(std::move(ex)));
-  server.shutdown(/*drain=*/false);
+    futures.push_back(router.submit("tiny", std::move(ex)));
+  router.shutdown(/*drain=*/false);
   uint64_t ok = 0, shut = 0;
   for (auto& fut : futures) {
     const RequestStatus status = fut.get().status;
@@ -514,7 +494,7 @@ TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
   EXPECT_EQ(ok + shut, kRequests);
   EXPECT_GT(shut, 0u) << "abort mode completed the whole backlog";
 
-  const ServeStats::Report r = server.stats().report();
+  const ServeStats::Report r = tiny.report();
   EXPECT_EQ(r.admitted, kRequests);
   EXPECT_EQ(r.completed, ok);
   EXPECT_EQ(r.failed, shut);
@@ -524,15 +504,8 @@ TEST(InferenceServer, ShutdownAccountingBalancesExactly) {
   EXPECT_TRUE(r.accounting_balances());
 }
 
-TEST(InferenceServer, LoadgenAccountingBalancesWithTimeouts) {
-  EngineRegistry registry;
-  registry.register_model("tiny", fixture().engine);
-
-  ServerConfig cfg;
-  cfg.num_workers = 2;
-  cfg.batcher.max_batch = 8;
-  InferenceServer server(registry, "tiny", cfg);
-  ASSERT_TRUE(server.start());
+TEST(ModelRouterLane, LoadgenAccountingBalancesWithTimeouts) {
+  TinyRouter tiny(router_config(2, 8));
 
   LoadgenConfig lcfg;
   lcfg.num_clients = 4;
@@ -540,10 +513,10 @@ TEST(InferenceServer, LoadgenAccountingBalancesWithTimeouts) {
   // Tight deadline: some requests expire in queue, exercising the
   // timed-out terminal path alongside completions.
   lcfg.deadline_budget = Micros(1500);
-  const LoadgenReport lg = run_loadgen(server, fixture().config, lcfg);
-  server.shutdown(/*drain=*/true);
+  const LoadgenReport lg = run_loadgen(tiny.router, fixture().config, lcfg);
+  tiny.router.shutdown(/*drain=*/true);
 
-  const ServeStats::Report r = server.stats().report();
+  const ServeStats::Report r = tiny.report();
   EXPECT_EQ(lg.sent, 200u);
   EXPECT_TRUE(r.accounting_balances())
       << "admitted " << r.admitted << " != completed " << r.completed

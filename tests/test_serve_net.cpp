@@ -3,7 +3,7 @@
 // port driven by TransportClient threads, responses bit-identical to
 // in-process submit()), malformed/truncated/oversized frames (decode
 // rejects, connection closes, server stays up), client disconnect
-// before response, and the synth_example/valid_example edge audit.
+// before response, and the synth_example admission edge audit.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -17,7 +17,6 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
 
 namespace fqbert::serve {
 namespace {
@@ -72,13 +71,9 @@ struct NetFixture {
   std::unique_ptr<ModelRouter> router;
   std::unique_ptr<net::TransportServer> transport;
 
-  explicit NetFixture(ServerConfig cfg = {}) {
+  explicit NetFixture(const RouterConfig& cfg = {}) {
     registry.register_model("tiny", fixture().engine);
-    RouterConfig rcfg;
-    rcfg.num_workers = cfg.num_workers;
-    rcfg.queue = cfg.queue;
-    rcfg.batcher = cfg.batcher;
-    router = std::make_unique<ModelRouter>(registry, rcfg);
+    router = std::make_unique<ModelRouter>(registry, cfg);
     EXPECT_TRUE(router->add_model("tiny"));
     EXPECT_TRUE(router->start());
     net::TransportConfig tcfg;
@@ -347,9 +342,9 @@ TEST(TransportLoopback, InfoAdvertisesEngineShape) {
 }
 
 TEST(TransportLoopback, ResponsesBitIdenticalToInProcessAcrossThreads) {
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 2;
-  cfg.batcher.max_batch = 4;
+  cfg.max_batch = 4;
   NetFixture net(cfg);
 
   constexpr int kClients = 4, kPerClient = 25;
@@ -619,9 +614,9 @@ TEST(TransportLoopback, TruncatedFramesThenDisconnectLeaveServerUp) {
 }
 
 TEST(TransportLoopback, ClientDisconnectBeforeResponseDropsItQuietly) {
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 1;
-  cfg.batcher.max_batch = 1;
+  cfg.max_batch = 1;
   NetFixture net(cfg);
   // Keep the only worker busy with an in-process backlog so the wire
   // request's response arrives "late", after the client is gone.
@@ -689,9 +684,9 @@ TEST(TransportLoopback, ServingRejectionsTravelTheWire) {
 }
 
 TEST(TransportLoopback, RemoteLoadgenClosedLoopZeroFailures) {
-  ServerConfig cfg;
+  RouterConfig cfg;
   cfg.num_workers = 2;
-  cfg.batcher.max_batch = 8;
+  cfg.max_batch = 8;
   NetFixture net(cfg);
 
   LoadgenConfig lcfg;
@@ -706,7 +701,7 @@ TEST(TransportLoopback, RemoteLoadgenClosedLoopZeroFailures) {
 }
 
 // ---------------------------------------------------------------------------
-// synth_example / valid_example edge audit (satellite): a synthesized
+// synth_example admission edge audit: a synthesized
 // example must be admissible at both ends of the length range, and the
 // empty seq-mix fallback must stay defined.
 // ---------------------------------------------------------------------------
@@ -714,8 +709,9 @@ TEST(TransportLoopback, RemoteLoadgenClosedLoopZeroFailures) {
 TEST(SynthExampleEdges, AdmittedAtSeqLenTwoAndMax) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
-  InferenceServer server(registry, "tiny", ServerConfig{});
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   Rng rng(23);
   const BertConfig& cfg = fixture().config;
@@ -727,12 +723,12 @@ TEST(SynthExampleEdges, AdmittedAtSeqLenTwoAndMax) {
     EXPECT_GE(static_cast<int64_t>(ex.tokens.size()), 2);
     EXPECT_LE(static_cast<int64_t>(ex.tokens.size()), cfg.max_seq_len);
     AdmitResult admit;
-    auto fut = server.submit(ex, std::nullopt, &admit);
+    auto fut = router.submit("tiny", ex, std::nullopt, &admit);
     EXPECT_EQ(admit, AdmitResult::kOk) << "requested len " << len;
     EXPECT_EQ(fut.get().status, RequestStatus::kOk) << "requested len "
                                                     << len;
   }
-  server.shutdown();
+  router.shutdown();
 }
 
 TEST(SynthExampleEdges, DegenerateConfigsProduceWellFormedExamples) {
@@ -755,16 +751,17 @@ TEST(SynthExampleEdges, DegenerateConfigsProduceWellFormedExamples) {
 TEST(SynthExampleEdges, EmptySeqMixFallsBackToMaxSeqLen) {
   EngineRegistry registry;
   registry.register_model("tiny", fixture().engine);
-  InferenceServer server(registry, "tiny", ServerConfig{});
-  ASSERT_TRUE(server.start());
+  ModelRouter router(registry);
+  ASSERT_TRUE(router.add_model("tiny"));
+  ASSERT_TRUE(router.start());
 
   LoadgenConfig lcfg;
   lcfg.num_clients = 1;
   lcfg.requests_per_client = 3;
   lcfg.seq_len_mix.clear();  // e.g. `--seq-mix ""` / a list of commas
   const LoadgenReport lg =
-      run_loadgen(server, fixture().config, lcfg);
-  server.shutdown();
+      run_loadgen(router, fixture().config, lcfg);
+  router.shutdown();
   EXPECT_EQ(lg.sent, 3u);
   EXPECT_EQ(lg.ok, 3u);  // max_seq_len examples are admissible
 }

@@ -27,7 +27,6 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
 #include "serve/shard/shard_proxy.h"
 
 namespace fqbert::serve {
@@ -93,7 +92,7 @@ struct BackendHost {
                        uint16_t fixed_port = 0) {
     RouterConfig rcfg;
     rcfg.num_workers = 1;
-    rcfg.batcher.max_batch = 4;
+    rcfg.max_batch = 4;
     router = std::make_unique<ModelRouter>(registry, rcfg);
     for (const auto& [name, engine] : models) {
       registry.register_model(name, engine);

@@ -2,9 +2,12 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
+#include <string>
 
 #include "nn/bert.h"
 #include "nn/loss.h"
@@ -71,5 +74,24 @@ inline nn::Example make_example(std::vector<int32_t> tokens, int32_t label) {
   ex.label = label;
   return ex;
 }
+
+/// A file under the test temp dir whose name carries this process's id,
+/// so concurrent runs of one suite never share (or delete) each other's
+/// files. The file is removed when the guard leaves scope, on every
+/// exit path, including a failed ASSERT.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name)
+      : path_(::testing::TempDir() + "fqbert_" + std::to_string(::getpid()) +
+              "_" + name) {}
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace fqbert::testing

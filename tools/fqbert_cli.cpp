@@ -62,7 +62,6 @@
 #include "serve/net/transport_client.h"
 #include "serve/net/transport_server.h"
 #include "serve/router/model_router.h"
-#include "serve/server.h"
 #include "serve/shard/shard_proxy.h"
 #include "serve/trace.h"
 
@@ -338,10 +337,16 @@ std::shared_ptr<const core::FqBertModel> resolve_engine(
                                    a.flag("fast"));
 }
 
-serve::ServerConfig server_config_from(const Args& a) {
-  serve::ServerConfig cfg;
+serve::RouterConfig router_config_from(const Args& a) {
+  serve::RouterConfig cfg;
   cfg.num_workers = static_cast<int>(int_opt(a, "workers", 2, 1, 1024));
-  cfg.batcher.max_batch = int_opt(a, "batch", 8, 1, 4096);
+  cfg.max_batch = int_opt(a, "batch", 8, 1, 4096);
+  const std::string fallback = a.get("tier-fallback", "strict");
+  if (fallback == "default")
+    cfg.tier_fallback = serve::TierFallback::kFallbackToDefault;
+  else if (fallback != "strict")
+    parse_fail("--tier-fallback: expected 'strict' or 'default', got '" +
+               fallback + "'");
   return cfg;
 }
 
@@ -441,6 +446,25 @@ void print_serve_report(const serve::LoadgenReport& lg,
   print_balance_line(st);
 }
 
+/// Closed-loop local run: a one-lane router over the registry's
+/// "default" engine, driven by run_loadgen and then drained. Returns
+/// the lane's stats, or nullopt (after printing) when the lane cannot
+/// open.
+std::optional<serve::ServeStats::Report> run_local_loadgen(
+    serve::EngineRegistry& registry, const serve::RouterConfig& rcfg,
+    const serve::LoadgenConfig& lcfg, serve::LoadgenReport* lg) {
+  serve::ModelRouter router(registry, rcfg);
+  std::string error;
+  if (!router.add_model("default", &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return std::nullopt;
+  }
+  router.start();
+  *lg = serve::run_loadgen(router, *router.model_config(""), lcfg);
+  router.shutdown(/*drain=*/true);
+  return router.stats_report("");
+}
+
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void handle_stop_signal(int) { g_stop_requested = 1; }
@@ -518,18 +542,8 @@ void print_per_model_table(const serve::ModelRouter& router) {
 /// Lanes come from repeated `--model name=path`, or from
 /// --engine/--task as the single model "default"; more can be
 /// hot-loaded at runtime through `fqbert_cli admin`.
-int run_listen_server(const Args& a, const serve::ServerConfig& scfg) {
+int run_listen_server(const Args& a, const serve::RouterConfig& rcfg) {
   serve::EngineRegistry registry;
-  serve::RouterConfig rcfg;
-  rcfg.num_workers = scfg.num_workers;
-  rcfg.queue = scfg.queue;
-  rcfg.batcher = scfg.batcher;
-  const std::string fallback = a.get("tier-fallback", "strict");
-  if (fallback == "default")
-    rcfg.tier_fallback = serve::TierFallback::kFallbackToDefault;
-  else if (fallback != "strict")
-    parse_fail("--tier-fallback: expected 'strict' or 'default', got '" +
-               fallback + "'");
   serve::ModelRouter router(registry, rcfg);
 
   const std::vector<std::string>& model_specs = a.values("model");
@@ -665,7 +679,7 @@ int run_listen_server(const Args& a, const serve::ServerConfig& scfg) {
               "max batch %lld; Ctrl-C to stop\n",
               tcfg.bind_address.c_str(), transport.port(), names.c_str(),
               router.default_model().c_str(), rcfg.num_workers,
-              static_cast<long long>(rcfg.batcher.max_batch));
+              static_cast<long long>(rcfg.max_batch));
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_stop_signal);
@@ -695,17 +709,18 @@ int run_listen_server(const Args& a, const serve::ServerConfig& scfg) {
 int cmd_serve(const Args& a) {
   // Validate every numeric flag before the (potentially expensive)
   // engine resolution: a typo must not cost a demo-engine train first.
-  serve::ServerConfig scfg = server_config_from(a);
+  const serve::RouterConfig rcfg = router_config_from(a);
   if (a.flag("listen")) {
     // The network mode has no built-in client loop; accepting its
     // options would silently ignore them.
     reject_options(a, "--listen",
                    {"clients", "requests", "deadline-ms", "seq-mix", "seed"});
-    return run_listen_server(a, scfg);
+    return run_listen_server(a, rcfg);
   }
-  // --model defines router lanes and --metrics scrapes a live service;
-  // only the network mode runs either.
-  reject_options(a, "(closed-loop)", {"model", "metrics"});
+  // --model defines router lanes, --metrics scrapes a live service and
+  // --tier-fallback needs a client that names tiers; only the network
+  // mode has any of them.
+  reject_options(a, "(closed-loop)", {"model", "metrics", "tier-fallback"});
   serve::LoadgenConfig lcfg = loadgen_config_from(a);
 
   serve::EngineRegistry registry;
@@ -714,20 +729,16 @@ int cmd_serve(const Args& a) {
 
   std::printf("serving '%s': %d workers, max batch %lld, "
               "%d closed-loop clients x %d requests (hw threads: %u)\n",
-              a.get("engine", a.get("task")).c_str(), scfg.num_workers,
-              static_cast<long long>(scfg.batcher.max_batch),
+              a.get("engine", a.get("task")).c_str(), rcfg.num_workers,
+              static_cast<long long>(rcfg.max_batch),
               lcfg.num_clients, lcfg.requests_per_client,
               std::thread::hardware_concurrency());
 
-  serve::InferenceServer server(registry, "default", scfg);
-  if (!server.start()) {
-    std::fprintf(stderr, "server failed to start\n");
-    return 1;
-  }
-  const serve::LoadgenReport lg =
-      serve::run_loadgen(server, engine->config(), lcfg);
-  server.shutdown(/*drain=*/true);
-  print_serve_report(lg, server.stats().report());
+  serve::LoadgenReport lg;
+  const std::optional<serve::ServeStats::Report> st =
+      run_local_loadgen(registry, rcfg, lcfg, &lg);
+  if (!st) return 1;
+  print_serve_report(lg, *st);
   return 0;
 }
 
@@ -1241,6 +1252,7 @@ int cmd_loadgen(const Args& a) {
   const std::vector<int64_t> workers =
       parse_int_list("worker-sweep", a.get("worker-sweep", "1,2"), 1, 1024);
   serve::LoadgenConfig lcfg = loadgen_config_from(a);
+  serve::RouterConfig rcfg = router_config_from(a);
 
   serve::EngineRegistry registry;
   auto engine = resolve_engine(a, registry, "default");
@@ -1250,18 +1262,13 @@ int cmd_loadgen(const Args& a) {
               "req/s", "p50 ms", "p95 ms", "p99 ms", "occupancy");
   for (const int64_t w : workers) {
     for (const int64_t b : batches) {
-      serve::ServerConfig scfg = server_config_from(a);
-      scfg.num_workers = static_cast<int>(w);
-      scfg.batcher.max_batch = b;
-      serve::InferenceServer server(registry, "default", scfg);
-      if (!server.start()) {
-        std::fprintf(stderr, "server failed to start\n");
-        return 1;
-      }
-      const serve::LoadgenReport lg =
-          serve::run_loadgen(server, engine->config(), lcfg);
-      server.shutdown(/*drain=*/true);
-      const serve::ServeStats::Report st = server.stats().report();
+      rcfg.num_workers = static_cast<int>(w);
+      rcfg.max_batch = b;
+      serve::LoadgenReport lg;
+      const std::optional<serve::ServeStats::Report> report =
+          run_local_loadgen(registry, rcfg, lcfg, &lg);
+      if (!report) return 1;
+      const serve::ServeStats::Report& st = *report;
       std::printf("%-8lld %-6lld %10.1f %9.2f %9.2f %9.2f %10.2f\n",
                   static_cast<long long>(w), static_cast<long long>(b),
                   lg.throughput_rps(), st.p50_ms, st.p95_ms, st.p99_ms,
